@@ -224,12 +224,19 @@ def profile_general(thetas: np.ndarray, molecule: Molecule, beam: IncidentBeam,
     total = np.zeros_like(thetas)
     comp = np.zeros_like(thetas)
     per = {}
+    v2_of = {}    # kappa -> |V(q)|^2
+    bess_of = {}  # (kappa, |n|) -> J_n(alpha |q|); J_-n^2 == J_n^2 exactly
     for ch in open_channels(beam, molecule, parity_only=True):
-        q_x, q_y, q_mag = geometry_grid(k, ch.kappa, thetas)
-        bess = specfun.bessel_j_grid(ch.l_in - ch.l_out,
-                                     molecule.half_separation * q_mag)
-        re, im = ft_total_grid(spec, q_x, q_y)
-        term = (c * ch.weight / math.pi ** 2) * bess * bess * (re * re + im * im)
+        key = (ch.kappa, abs(ch.l_in - ch.l_out))
+        if key not in bess_of:
+            q_x, q_y, q_mag = geometry_grid(k, ch.kappa, thetas)
+            if ch.kappa not in v2_of:
+                re, im = ft_total_grid(spec, q_x, q_y)
+                v2_of[ch.kappa] = re * re + im * im
+            bess_of[key] = specfun.bessel_j_grid(
+                key[1], molecule.half_separation * q_mag)
+        bess = bess_of[key]
+        term = (c * ch.weight / math.pi ** 2) * bess * bess * v2_of[ch.kappa]
         per[(ch.l_in, ch.l_out)] = term
         total, comp = _kahan_add(total, comp, term)
     return CrossSectionProfile(thetas=thetas, sigma=total, per_channel=per,
@@ -271,11 +278,15 @@ def profile_closed(variant: str, thetas: np.ndarray, *, mass: float, v0: float,
         total = np.zeros_like(thetas)
         comp = np.zeros_like(thetas)
         per = {}
+        by_order = {}  # (kappa, |l'|) -> (q_x, w, J_l', damp); J_-l'^2 == J_l'^2
         for l_out, kappa in _even_channels(k, alpha):
-            q_x, q_y, q_mag = geometry_grid(k, kappa, thetas)
-            w = (q_mag * delta) ** 2
-            bess = specfun.bessel_j_grid(l_out, alpha * q_mag)
-            damp = np.exp(-0.5 * w)
+            key = (kappa, abs(l_out))
+            if key not in by_order:
+                q_x, q_y, q_mag = geometry_grid(k, kappa, thetas)
+                w = (q_mag * delta) ** 2
+                by_order[key] = (q_x, w, specfun.bessel_j_grid(key[1], alpha * q_mag),
+                                 np.exp(-0.5 * w))
+            q_x, w, bess, damp = by_order[key]
             if variant == "closed_two_gaussian":
                 c = np.cos(q_x * d)
                 term = 32.0 * base * damp * bess * bess * c * c

@@ -162,30 +162,37 @@ def _closed_params(cfg: Config) -> Dict[str, float]:
     return {"v0": a.strength, "delta": a.width, "d": peaks[0].center_x}
 
 
+# Overflow or invalid arithmetic in an engine leaves a non-finite sigma,
+# which CrossSectionProfile refuses (exit 2, one message line); numpy's
+# RuntimeWarning lines would only repeat that on stderr. errstate is per
+# thread, so each column task sets it itself.
+
 def _profile_for_k(cfg: Config, thetas: np.ndarray, k: float) -> CrossSectionProfile:
     variant = cfg.engine_variant
-    if variant == "general":
-        return profile_general(thetas, cfg.molecule, _beam_for_k(cfg, k),
-                               cfg.potential)
-    if variant == "structureless":
-        return profile_structureless(thetas, cfg.molecule.atom_mass, k,
-                                     cfg.potential)
-    params = _closed_params(cfg)
-    kwargs = dict(params)
-    if variant in ("closed_two_gaussian", "closed_grating", "closed_mixed"):
-        kwargs["alpha"] = cfg.molecule.half_separation
-    return profile_closed(variant, thetas, mass=cfg.molecule.atom_mass,
-                          k=k, **kwargs)
+    with np.errstate(all="ignore"):
+        if variant == "general":
+            return profile_general(thetas, cfg.molecule, _beam_for_k(cfg, k),
+                                   cfg.potential)
+        if variant == "structureless":
+            return profile_structureless(thetas, cfg.molecule.atom_mass, k,
+                                         cfg.potential)
+        params = _closed_params(cfg)
+        kwargs = dict(params)
+        if variant in ("closed_two_gaussian", "closed_grating", "closed_mixed"):
+            kwargs["alpha"] = cfg.molecule.half_separation
+        return profile_closed(variant, thetas, mass=cfg.molecule.atom_mass,
+                              k=k, **kwargs)
 
 
 def _counterpart_for_k(cfg: Config, thetas: np.ndarray, k: float) -> CrossSectionProfile:
     variant = cfg.engine_variant
-    if variant == "general":
-        mass2, spec2 = structureless_counterpart(cfg.molecule, cfg.potential)
-        return profile_structureless(thetas, mass2, k, spec2)
-    return profile_closed(_INTERNAL_TO_STRUCTURELESS[variant], thetas,
-                          mass=cfg.molecule.atom_mass, k=k,
-                          **_closed_params(cfg))
+    with np.errstate(all="ignore"):
+        if variant == "general":
+            mass2, spec2 = structureless_counterpart(cfg.molecule, cfg.potential)
+            return profile_structureless(thetas, mass2, k, spec2)
+        return profile_closed(_INTERNAL_TO_STRUCTURELESS[variant], thetas,
+                              mass=cfg.molecule.atom_mass, k=k,
+                              **_closed_params(cfg))
 
 
 def _scan_or_fail(cfg: Config):
@@ -401,6 +408,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (OracleConvergenceError, AnalysisError, UnsupportedVariantError,
             ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError:
+        print("numerical failure: a value overflowed the double range",
+              file=sys.stderr)
         return 2
 
 

@@ -13,6 +13,8 @@ from typing import Optional
 
 import numpy as np
 
+from .specfun import ORDER_CAP
+
 GAUSSIAN = "gaussian"
 POLYNOMIAL_GAUSSIAN = "polynomial_gaussian"
 PEAK_VARIANTS = (GAUSSIAN, POLYNOMIAL_GAUSSIAN)
@@ -32,6 +34,12 @@ ENGINE_VARIANTS = (
 NORM_KEEP = 1e-12
 # ... renormalize up to here, reject beyond
 NORM_FIX = 1e-6
+# no amplitude component of a beam inside the norm band can exceed this
+_AMP_MAX = math.sqrt(1.0 + NORM_FIX)
+
+# engines that sum rotational channels with Bessel form factors
+_CHANNEL_ENGINES = ("general", "closed_two_gaussian", "closed_grating",
+                    "closed_mixed")
 
 
 class ConfigError(Exception):
@@ -268,6 +276,12 @@ def make_grating(half_count: int, spacing: float, shape: PeakShape) -> Potential
     return PotentialSpec(peaks=tuple(peaks))
 
 
+def _channel_order_reach(k: float, alpha: float, states) -> float:
+    """Upper bound on |l_in - l_out| over the open channels at wavenumber k
+    (one order of slack for the closed forms' even rounding)."""
+    return max(abs(l) + math.hypot(l, k * alpha) + 2.0 for l in states)
+
+
 def validate_config(doc) -> Config:
     """Build validated domain objects from a parsed JSON document.
 
@@ -303,20 +317,36 @@ def validate_config(doc) -> Config:
             if not isinstance(l, int) or isinstance(l, bool):
                 errors.append((p + ".l", "must be an integer"))
                 continue
+            if abs(l) > ORDER_CAP:
+                errors.append((p + ".l", f"|l| must be at most {ORDER_CAP}, "
+                               "the supported Bessel order cap"))
+                continue
             re = _num(entry, "re", errors, default=0.0, label=p + ".re")
             im = _num(entry, "im", errors, default=0.0, label=p + ".im")
             if re is None or im is None:
                 continue
+            for part, v in (("re", re), ("im", im)):
+                if abs(v) > _AMP_MAX:
+                    errors.append((f"{p}.{part}", f"{v!r} exceeds 1 in magnitude, "
+                                   "so sum |psi|^2 cannot be 1"))
             if l in amps:
                 errors.append((p + ".l", f"duplicate state label {l}"))
                 continue
+            if alpha == 0.0 and l != 0 and complex(re, im) != 0:
+                errors.append((p + ".l", f"state l = {l} needs molecule.alpha "
+                               "> 0; a rotor with alpha = 0 has only l = 0"))
             amps[l] = complex(re, im)
     if k is not None and amps:
         nonzero = {l: a for l, a in amps.items() if a != 0}
         if not nonzero:
             errors.append(("beam.amplitudes", "all amplitudes are zero"))
         else:
-            norm = math.fsum(abs(a) ** 2 for a in nonzero.values())
+            # |psi|^2 of an oversized component can overflow; its sum is
+            # off the unit band either way
+            oversized = any(max(abs(a.real), abs(a.imag)) > _AMP_MAX
+                            for a in nonzero.values())
+            norm = math.inf if oversized else math.fsum(
+                abs(a) ** 2 for a in nonzero.values())
             if abs(norm - 1.0) > NORM_FIX:
                 errors.append(("beam.amplitudes",
                                f"sum |psi|^2 = {norm!r} is farther than 1e-6 from 1"))
@@ -411,6 +441,17 @@ def validate_config(doc) -> Config:
                 else:
                     scan = ScanSpec(theta_min=tmin, theta_max=tmax,
                                     theta_steps=steps, k_values=tuple(ks))
+
+    if variant in _CHANNEL_ENGINES and alpha is not None and beam is not None:
+        wavenumbers = [("beam.k", beam.wavenumber)]
+        if scan is not None:
+            wavenumbers += [(f"scan.k[{i}]", kv) for i, kv in enumerate(scan.k_values)]
+        for path, kv in wavenumbers:
+            reach = _channel_order_reach(kv, alpha, beam.amplitudes)
+            if reach > ORDER_CAP:
+                errors.append((path, f"with molecule.alpha = {alpha!r} the channels "
+                               f"reach Bessel order {reach:.6g}, beyond the "
+                               f"supported cap {ORDER_CAP}"))
 
     if errors:
         raise ConfigError(errors)

@@ -314,3 +314,26 @@ class TestGridEngines:
         p = profile_closed("closed_structureless_mixed", th, mass=1, v0=1,
                            delta=1, k=1, d=2)
         assert p.metadata == {"engine": "closed_structureless_mixed", "k": 1.0}
+
+    def test_mirror_channels_share_one_bessel_evaluation(self, monkeypatch):
+        # an l = 0 beam opens (0, +l') and (0, -l') with the same kappa and
+        # J_-l'^2 == J_l'^2: one recurrence per |l'|, identical channel terms
+        calls = []
+        real = specfun.bessel_j_grid
+
+        def counted(n, xs):
+            calls.append(n)
+            return real(n, xs)
+
+        monkeypatch.setattr(specfun, "bessel_j_grid", counted)
+        th = np.linspace(-1.2, 1.2, 41)
+        beam = IncidentBeam(wavenumber=10.0, amplitudes={0: 1.0})
+        p = profile_general(th, UNIT_ROTOR, beam, TWO_SLIT)
+        assert sorted(calls) == [0, 2, 4, 6, 8]  # l' = 10 is marginal, closed
+        calls.clear()
+        c = profile_closed("closed_two_gaussian", th, mass=1.0, v0=1.0,
+                           delta=1.0, k=10.0, alpha=1.0, d=2.0)
+        assert sorted(calls) == [0, 2, 4, 6, 8]
+        for prof in (p, c):
+            for (l_in, l_out), arr in prof.per_channel.items():
+                assert np.array_equal(arr, prof.per_channel[(l_in, -l_out)])

@@ -48,6 +48,13 @@ def fig4_doc(steps=1201):
     }
 
 
+def run_cli_process(argv):
+    """The CLI in a fresh interpreter: stderr exactly as a user sees it,
+    warnings and tracebacks included."""
+    return subprocess.run([sys.executable, "-m", "rotor_scatter.cli", *argv],
+                          capture_output=True, text=True)
+
+
 def run_dir_from(capsys):
     out = capsys.readouterr().out.strip().splitlines()
     return out[-1]
@@ -100,6 +107,45 @@ class TestProfile:
         assert main(["profile", "--config", cfg, "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert "molecule.alpha" in err and "beam.k" in err
+
+    def test_overflowing_inputs_exit_1_without_traceback(self, tmp_path):
+        amp, k = two_slit_doc(), two_slit_doc()
+        amp["beam"]["amplitudes"][0]["re"] = 1e200
+        k["scan"]["k"] = [1.0, 1e300]
+        for name, doc, field in (("amp", amp, "beam.amplitudes[0].re"),
+                                 ("k", k, "scan.k[1]")):
+            proc = run_cli_process(["sweep", "--config",
+                                    write_config(tmp_path, doc, f"{name}.json"),
+                                    "--out", str(tmp_path)])
+            assert proc.returncode == 1
+            assert "Traceback" not in proc.stderr
+            assert f"config error: {field}: " in proc.stderr
+
+    def test_rotational_state_without_arm_exits_1(self, tmp_path, capsys):
+        doc = two_slit_doc()
+        doc["molecule"]["alpha"] = 0.0
+        doc["beam"]["amplitudes"] = [{"l": 2, "re": 1.0, "im": 0.0}]
+        cfg = write_config(tmp_path, doc)
+        assert main(["profile", "--config", cfg, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "beam.amplitudes[0].l" in err and "molecule.alpha" in err
+
+    def test_overflow_in_engine_is_one_line_exit_2(self, tmp_path):
+        doc = two_slit_doc(steps=61)
+        for peak in doc["potential"]["peaks"]:
+            peak["shape"]["v0"] = 1e300
+        proc = run_cli_process(["profile", "--config", write_config(tmp_path, doc),
+                                "--out", str(tmp_path)])
+        assert proc.returncode == 2
+        assert proc.stderr == "numerical failure: sigma must be finite\n"
+
+    def test_overflow_in_closed_form_exits_2(self, tmp_path, capsys):
+        doc = fig4_doc(steps=61)
+        for peak in doc["potential"]["peaks"]:
+            peak["shape"]["delta"] = 1e300
+        cfg = write_config(tmp_path, doc)
+        assert main(["compare", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("numerical failure: ")
 
     def test_missing_config_file_exits_1(self, tmp_path, capsys):
         assert main(["profile", "--config", str(tmp_path / "none.json"),

@@ -214,6 +214,50 @@ class TestValidateConfig:
         with pytest.raises(ConfigError):
             validate_config(doc)
 
+    def test_oversized_amplitude_rejected_with_field_path(self):
+        for part in ("re", "im"):
+            doc = minimal_doc()
+            doc["beam"]["amplitudes"] = [{"l": 0, part: 1e200}]
+            with pytest.raises(ConfigError) as exc:
+                validate_config(doc)
+            assert f"beam.amplitudes[0].{part}" in {p for p, _ in exc.value.errors}
+
+    def test_huge_wavenumber_rejected_with_field_path(self):
+        doc = minimal_doc()
+        doc["scan"] = {"theta": {"min": 0.0, "max": 1.0, "steps": 2},
+                       "k": [1.0, 1e300]}
+        with pytest.raises(ConfigError) as exc:
+            validate_config(doc)
+        assert {p for p, _ in exc.value.errors} == {"scan.k[1]"}
+        doc = minimal_doc()
+        doc["beam"]["k"] = 1e300
+        with pytest.raises(ConfigError) as exc:
+            validate_config(doc)
+        assert {p for p, _ in exc.value.errors} == {"beam.k"}
+
+    def test_channel_order_cap_follows_alpha(self):
+        # k * alpha near the Bessel order cap is accepted, past it rejected;
+        # engines without rotational channels do not care
+        doc = minimal_doc()
+        doc["beam"]["k"] = 9000.0
+        validate_config(doc)
+        doc["molecule"]["alpha"] = 3.0
+        with pytest.raises(ConfigError):
+            validate_config(doc)
+        doc["engine"]["variant"] = "structureless"
+        validate_config(doc)
+
+    def test_rotational_state_without_arm_rejected(self):
+        doc = minimal_doc()
+        doc["molecule"]["alpha"] = 0.0
+        doc["beam"]["amplitudes"] = [{"l": 0, "re": 0.6}, {"l": 2, "re": 0.8}]
+        with pytest.raises(ConfigError) as exc:
+            validate_config(doc)
+        (path, message), = exc.value.errors
+        assert path == "beam.amplitudes[1].l" and "molecule.alpha" in message
+        doc["beam"]["amplitudes"] = [{"l": 0, "re": 1.0}]
+        assert validate_config(doc).molecule.half_separation == 0.0
+
     def test_non_object_rejected(self):
         with pytest.raises(ConfigError):
             validate_config([1, 2, 3])

@@ -1,4 +1,7 @@
+import json
 import math
+from collections import defaultdict
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -8,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 from rotor_scatter.specfun import (
     ORDER_CAP,
     BesselOrderRange,
+    _seed_orders,
+    _start_orders,
     bessel_j,
     bessel_j_batch,
     bessel_j_grid,
@@ -15,6 +20,10 @@ from rotor_scatter.specfun import (
 
 # first positive zero of J_0, 16 correct digits
 J0_FIRST_ZERO = 2.404825557695773
+
+# (n, x, float.hex of J_n(x)) frozen by scripts/freeze_bessel_bits.py
+FROZEN = [(n, float.fromhex(x), v) for n, x, v in json.loads(
+    (Path(__file__).parent / "bessel_bits.json").read_text())["points"]]
 
 
 def mp_ref(n, x):
@@ -68,6 +77,61 @@ def test_against_high_precision_reference():
         ref = mp_ref(n, x)
         got = bessel_j(n, x)
         assert got == pytest.approx(ref, rel=1e-13, abs=1e-15)
+    # the start rule certifies the truncation error far below one ulp, so
+    # near its cutoffs and deep in the tail (subnormals too) the value must
+    # be the correctly rounded one; abs=1e-15 above would pass any of them
+    for n, x in _cutoff_and_tail_points():
+        assert bessel_j(n, x) == mp_ref(n, x), (n, x)
+
+
+def _cutoff_and_tail_points():
+    """Orders around both switches of the start rule and deep in the tail.
+
+    Per argument: orders at x (oscillatory to tail bound), orders around
+    the first one whose start is capped at U(x) + 8 (values near 1e-305),
+    and the last orders below U(x).
+    """
+    pts = []
+    for x in (0.75, 6.5, 37.25, 100.0, 200.0, 1000.0):
+        u = int(_start_orders(np.array([x]))[0])
+        cut = next((n for n in range(u)
+                    if _seed_orders(np.array([x]), n, np.array([u]))[0] == u + 8),
+                   u - 1)
+        orders = {int(x) - 1, int(x), int(x) + 1, cut - 2, cut - 1, cut,
+                  cut + 1, u - 3, u - 1}
+        pts += [(n, x) for n in sorted(orders) if n >= 0]
+    return pts
+
+
+def test_scalar_reproduces_frozen_bits():
+    wrong = [(n, x) for n, x, v in FROZEN if bessel_j(n, x).hex() != v]
+    assert not wrong
+
+
+def test_batch_reproduces_frozen_bits():
+    by_x = defaultdict(list)
+    for n, x, v in FROZEN:
+        by_x[x].append((n, v))
+    wrong = []
+    for x, entries in by_x.items():
+        row = bessel_j_batch(BesselOrderRange(max(abs(n) for n, _ in entries)), x)
+        for n, v in entries:
+            got = -row[-n] if n < 0 and n % 2 else row[abs(n)]
+            if got.hex() != v:
+                wrong.append((n, x))
+    assert not wrong
+
+
+def test_grid_reproduces_frozen_bits():
+    by_n = defaultdict(list)
+    for n, x, v in FROZEN:
+        by_n[n].append((x, v))
+    wrong = []
+    for n, entries in by_n.items():
+        grid = bessel_j_grid(n, np.array([x for x, _ in entries]))
+        wrong += [(n, x) for g, (x, v) in zip(grid.tolist(), entries)
+                  if g.hex() != v]
+    assert not wrong
 
 
 def test_sum_of_squares_identity():
