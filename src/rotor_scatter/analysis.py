@@ -62,24 +62,20 @@ class FringeReport:
 
 def _run_extrema(values: np.ndarray) -> Tuple[List[int], List[int]]:
     """Indices of interior local maxima and minima, plateaus collapsed."""
-    n = values.size
-    maxima: List[int] = []
-    minima: List[int] = []
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and values[j + 1] == values[i]:
-            j += 1
-        # a run touching either end has no two-sided neighborhood
-        if i > 0 and j < n - 1:
-            left = values[i - 1]
-            right = values[j + 1]
-            if left < values[i] and right < values[i]:
-                maxima.append((i + j) // 2)
-            elif left > values[i] and right > values[i]:
-                minima.append((i + j) // 2)
-        i = j + 1
-    return maxima, minima
+    values = np.asarray(values)
+    if values.size < 3:
+        return [], []
+    # runs of equal samples, by their first and last index
+    starts = np.flatnonzero(values[1:] != values[:-1]) + 1
+    ends = np.append(starts - 1, values.size - 1)
+    starts = np.insert(starts, 0, 0)
+    # a run touching either end has no two-sided neighborhood
+    run = values[starts]
+    left, mid, right = run[:-2], run[1:-1], run[2:]
+    middle = (starts[1:-1] + ends[1:-1]) // 2
+    maxima = middle[(left < mid) & (right < mid)]
+    minima = middle[(left > mid) & (right > mid)]
+    return maxima.tolist(), minima.tolist()
 
 
 def _window_slice(profile: CrossSectionProfile, window) -> Tuple[np.ndarray, np.ndarray]:

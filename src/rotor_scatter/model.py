@@ -37,6 +37,9 @@ NORM_FIX = 1e-6
 # no amplitude component of a beam inside the norm band can exceed this
 _AMP_MAX = math.sqrt(1.0 + NORM_FIX)
 
+# theta grid cap, checked before the grid is allocated
+MAX_THETA_STEPS = 10**7
+
 # engines that sum rotational channels with Bessel form factors
 _CHANNEL_ENGINES = ("general", "closed_two_gaussian", "closed_grating",
                     "closed_mixed")
@@ -166,6 +169,8 @@ class ScanSpec:
             raise ValueError("theta max must exceed theta min")
         if not isinstance(self.theta_steps, int) or self.theta_steps < 2:
             raise ValueError("theta steps must be an integer >= 2")
+        if self.theta_steps > MAX_THETA_STEPS:
+            raise ValueError(f"theta steps must be <= {MAX_THETA_STEPS}")
         object.__setattr__(self, "k_values", tuple(float(k) for k in self.k_values))
         for k in self.k_values:
             if not _finite(k) or k <= 0:
@@ -424,6 +429,9 @@ def validate_config(doc) -> Config:
                 steps = t.get("steps")
                 if not isinstance(steps, int) or isinstance(steps, bool) or steps < 2:
                     errors.append(("scan.theta.steps", "must be an integer >= 2"))
+                    steps = None
+                elif steps > MAX_THETA_STEPS:
+                    errors.append(("scan.theta.steps", f"must be <= {MAX_THETA_STEPS}"))
                     steps = None
             ks = s.get("k", [])
             k_ok = True

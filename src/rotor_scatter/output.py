@@ -4,6 +4,17 @@ Every number is printed with 17 significant digits so a 64-bit float
 round-trips losslessly and repeated runs produce byte-identical files.
 The JSON writer is hand-rolled for the same reason: dict keys are sorted
 and float formatting is pinned rather than left to the stdlib default.
+
+Numbers are formatted an array at a time: ``fmt_table`` checks a whole
+array for finiteness once, then fills a template holding one ``%.17g``
+per value in a single ``%`` call, which prints exactly what ``fmt_real``
+prints per value. The CSV writers format blocks of ``_BLOCK_ROWS`` rows,
+so only one block is held as Python floats at a time. ``emit_json``
+appends to a single list and joins once; a list of plain floats is one
+``fmt_table`` call. The SVG writers compute pixel coordinates over
+arrays, with the same IEEE operations in the same order as the scalar
+formula, and format each curve in one call. Every output byte is pinned
+by ``tests/output_sha256.json``.
 """
 
 import hashlib
@@ -11,10 +22,13 @@ import math
 from pathlib import Path
 from typing import Iterable, List, Sequence, Tuple
 
+import numpy as np
+
 from .model import CrossSectionProfile
 
 __all__ = [
     "fmt_real",
+    "fmt_table",
     "emit_json",
     "manifest_hash",
     "profile_csv",
@@ -24,6 +38,9 @@ __all__ = [
     "write_text",
 ]
 
+# CSV rows formatted per block: bounds the Python floats and templates held at once
+_BLOCK_ROWS = 2048
+
 
 def fmt_real(x: float) -> str:
     x = float(x)
@@ -32,33 +49,72 @@ def fmt_real(x: float) -> str:
     return format(x, ".17g")
 
 
+def fmt_table(values, sep: str = ",", row_sep: str = "\n") -> str:
+    """``fmt_real`` of every value of a 1-D or 2-D array, joined by sep
+    within a row and by row_sep between rows.
+
+    One finiteness check covers the array, and one ``%`` call with a
+    ``%.17g`` per value formats it, which prints what ``fmt_real`` prints.
+    A non-finite value raises ``fmt_real``'s error for the first one in
+    row order.
+    """
+    arr = np.asarray(values, dtype=float)
+    rows = arr.reshape(-1, arr.shape[-1]) if arr.ndim == 2 else arr.reshape(1, -1)
+    finite = np.isfinite(rows)
+    if not finite.all():
+        fmt_real(rows.flat[np.argmin(finite)])
+    row = sep.replace("%", "%%").join(["%.17g"] * rows.shape[1])
+    template = row_sep.replace("%", "%%").join([row] * rows.shape[0])
+    return template % tuple(rows.ravel().tolist())
+
+
 def emit_json(value, indent: int = 0) -> str:
     """Canonical JSON: sorted keys, pinned float format, LF separators."""
+    out: List[str] = []
+    _emit_json(value, indent, out)
+    return "".join(out)
+
+
+def _emit_json(value, indent: int, out: List[str]) -> None:
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(value, dict):
         if not value:
-            return "{}"
-        keys = sorted(value, key=str)
-        rows = [f'{inner}{_json_string(str(k))}: {emit_json(value[k], indent + 1)}'
-                for k in keys]
-        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
+            out.append("{}")
+            return
+        sep = "{\n"
+        for k in sorted(value, key=str):
+            out.append(f"{sep}{inner}{_json_string(str(k))}: ")
+            _emit_json(value[k], indent + 1, out)
+            sep = ",\n"
+        out.append("\n" + pad + "}")
+        return
     if isinstance(value, (list, tuple)):
         if not value:
-            return "[]"
-        rows = [f"{inner}{emit_json(v, indent + 1)}" for v in value]
-        return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
+            out.append("[]")
+            return
+        if all(type(v) is float for v in value):
+            out.append("[\n" + inner + fmt_table(value, sep=",\n" + inner))
+        else:
+            sep = "[\n"
+            for v in value:
+                out.append(sep + inner)
+                _emit_json(v, indent + 1, out)
+                sep = ",\n"
+        out.append("\n" + pad + "]")
+        return
     if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return fmt_real(value)
-    if isinstance(value, str):
-        return _json_string(value)
-    if value is None:
-        return "null"
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+        out.append("true" if value else "false")
+    elif isinstance(value, int):
+        out.append(str(value))
+    elif isinstance(value, float):
+        out.append(fmt_real(value))
+    elif isinstance(value, str):
+        out.append(_json_string(value))
+    elif value is None:
+        out.append("null")
+    else:
+        raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def _json_string(s: str) -> str:
@@ -92,16 +148,26 @@ def _channel_label(key: Tuple[int, int]) -> str:
     return f"sigma_{key[0]}_{key[1]}"
 
 
+def _csv_text(header: List[str], columns: Sequence) -> str:
+    """Header plus one row per index of the equal-length columns."""
+    n = len(columns[0])
+    if any(len(col) != n for col in columns):
+        raise ValueError("every column must have one value per theta")
+    pieces = [",".join(header), "\n"]
+    for start in range(0, n, _BLOCK_ROWS):
+        block = np.column_stack([np.asarray(col[start:start + _BLOCK_ROWS], dtype=float)
+                                 for col in columns])
+        pieces.append(fmt_table(block))
+        pieces.append("\n")
+    return "".join(pieces)
+
+
 def profile_csv(profile: CrossSectionProfile) -> str:
-    cols: List[str] = ["theta", "sigma"]
     channels = sorted(profile.per_channel) if profile.per_channel else []
-    cols.extend(_channel_label(c) for c in channels)
-    lines = [",".join(cols)]
-    for i in range(profile.thetas.size):
-        row = [fmt_real(profile.thetas[i]), fmt_real(profile.sigma[i])]
-        row.extend(fmt_real(profile.per_channel[c][i]) for c in channels)
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    header = ["theta", "sigma"] + [_channel_label(c) for c in channels]
+    columns = [profile.thetas, profile.sigma]
+    columns.extend(profile.per_channel[c] for c in channels)
+    return _csv_text(header, columns)
 
 
 def sweep_csv(thetas: Sequence[float], k_values: Sequence[float],
@@ -110,11 +176,7 @@ def sweep_csv(thetas: Sequence[float], k_values: Sequence[float],
     if len(columns) != len(k_values):
         raise ValueError("one sigma column required per k value")
     header = ["theta"] + [f"k={fmt_real(k)}" for k in k_values]
-    lines = [",".join(header)]
-    for i, th in enumerate(thetas):
-        row = [fmt_real(th)] + [fmt_real(col[i]) for col in columns]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    return _csv_text(header, [thetas, *columns])
 
 
 def write_text(path: Path, text: str) -> None:
@@ -128,27 +190,35 @@ _W, _H, _MARGIN = 640, 420, 54
 _COLORS = ("#1f6feb", "#d1242f", "#2da44e", "#bf8700", "#8250df", "#57606a")
 
 
-def _svg_points(xs: Sequence[float], ys: Sequence[float],
-                x_range, y_range) -> str:
+def _svg_points(xs: np.ndarray, ys: np.ndarray, x_range, y_range) -> str:
     x_lo, x_hi = x_range
     y_lo, y_hi = y_range
     x_span = (x_hi - x_lo) or 1.0
     y_span = (y_hi - y_lo) or 1.0
-    pts = []
-    for x, y in zip(xs, ys):
-        px = _MARGIN + (x - x_lo) / x_span * (_W - 2 * _MARGIN)
-        py = _H - _MARGIN - (y - y_lo) / y_span * (_H - 2 * _MARGIN)
-        pts.append(f"{px:.2f},{py:.2f}")
-    return " ".join(pts)
+    # the scalar formula's operations in its order, so every point rounds alike
+    px = _MARGIN + (xs - x_lo) / x_span * (_W - 2 * _MARGIN)
+    py = _H - _MARGIN - (ys - y_lo) / y_span * (_H - 2 * _MARGIN)
+    return (" ".join(["%.2f,%.2f"] * px.size)
+            % tuple(np.column_stack((px, py)).ravel().tolist()))
+
+
+def _first_min(a: np.ndarray) -> float:
+    # first minimal element, as builtin min() picks it: keeps the sign of a zero
+    return float(a[np.argmin(a)])
+
+
+def _first_max(a: np.ndarray) -> float:
+    return float(a[np.argmax(a)])
 
 
 def _svg_document(series: Iterable[Tuple[str, Sequence[float], Sequence[float]]],
                   x_label: str, y_label: str, title: str) -> str:
-    series = list(series)
-    x_lo = min(min(xs) for _, xs, _ in series)
-    x_hi = max(max(xs) for _, xs, _ in series)
-    y_lo = min(min(ys) for _, _, ys in series)
-    y_hi = max(max(ys) for _, _, ys in series)
+    series = [(name, np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
+              for name, xs, ys in series]
+    x_lo = min(_first_min(xs) for _, xs, _ in series)
+    x_hi = max(_first_max(xs) for _, xs, _ in series)
+    y_lo = min(_first_min(ys) for _, _, ys in series)
+    y_hi = max(_first_max(ys) for _, _, ys in series)
     y_lo = min(y_lo, 0.0)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
@@ -192,13 +262,12 @@ def _svg_document(series: Iterable[Tuple[str, Sequence[float], Sequence[float]]]
 
 def profile_svg(profiles: Iterable[Tuple[str, CrossSectionProfile]],
                 title: str) -> str:
-    series = [(name, p.thetas.tolist(), p.sigma.tolist())
-              for name, p in profiles]
+    series = [(name, p.thetas, p.sigma) for name, p in profiles]
     return _svg_document(series, "theta (rad)", "cross section", title)
 
 
 def sweep_svg(thetas: Sequence[float], k_values: Sequence[float],
               columns: Sequence[Sequence[float]], title: str) -> str:
-    series = [(f"k={fmt_real(k)[:8]}", list(thetas), list(col))
+    series = [(f"k={fmt_real(k)[:8]}", thetas, col)
               for k, col in zip(k_values, columns)]
     return _svg_document(series, "theta (rad)", "cross section", title)

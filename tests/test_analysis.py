@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rotor_scatter.analysis import (
     AnalysisError,
     FringeReport,
     ResolutionError,
     UndefinedRatioError,
+    _run_extrema,
     fringe_report,
     fringe_window,
     peak_spacing,
@@ -23,6 +26,47 @@ from rotor_scatter.model import CrossSectionProfile
 def make_profile(thetas, sigma):
     return CrossSectionProfile(thetas=np.asarray(thetas, dtype=float),
                                sigma=np.asarray(sigma, dtype=float))
+
+
+def run_extrema_loop(values):
+    """Scalar reference for the run-length extremum scan."""
+    n = values.size
+    maxima, minima = [], []
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and values[j + 1] == values[i]:
+            j += 1
+        if i > 0 and j < n - 1:
+            left, right = values[i - 1], values[j + 1]
+            if left < values[i] and right < values[i]:
+                maxima.append((i + j) // 2)
+            elif left > values[i] and right > values[i]:
+                minima.append((i + j) // 2)
+        i = j + 1
+    return maxima, minima
+
+
+class TestRunExtrema:
+    @given(st.lists(st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 3.0]),
+                    max_size=40))
+    def test_matches_scalar_loop(self, samples):
+        values = np.array(samples, dtype=float)
+        assert _run_extrema(values) == run_extrema_loop(values)
+
+    @pytest.mark.parametrize("samples", [
+        [], [1.0], [1.0, 2.0], [2.0, 2.0], [1.0, 2.0, 1.0], [2.0, 1.0, 2.0],
+        [3.0, 3.0, 3.0, 1.0, 2.0],          # plateau touching the start
+        [1.0, 2.0, 0.0, 0.0, 0.0],          # plateau touching the end
+        [1.0, 1.0, 1.0, 1.0],               # one run only
+        [1.0, 0.0, -0.0, 0.0, 1.0],         # signed zeros are one run
+        [-0.0, 0.0, 1.0, -0.0, 2.0, 2.0, 2.0, 2.0, 0.0],
+    ])
+    def test_edge_cases_match_scalar_loop(self, samples):
+        values = np.array(samples, dtype=float)
+        got = _run_extrema(values)
+        assert got == run_extrema_loop(values)
+        assert all(type(i) is int for i in got[0] + got[1])
 
 
 class TestVisibility:

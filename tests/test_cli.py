@@ -9,6 +9,7 @@ import pytest
 
 from rotor_scatter import specfun
 from rotor_scatter.cli import main
+from rotor_scatter.model import MAX_THETA_STEPS, ScanSpec
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -120,6 +121,20 @@ class TestProfile:
             assert proc.returncode == 1
             assert "Traceback" not in proc.stderr
             assert f"config error: {field}: " in proc.stderr
+
+    def test_huge_theta_grid_exits_1_before_allocating(self, tmp_path, capsys,
+                                                       monkeypatch):
+        def no_grid(self):
+            raise AssertionError("the theta grid must not be built")
+
+        monkeypatch.setattr(ScanSpec, "thetas", no_grid)
+        doc = two_slit_doc()
+        doc["scan"]["theta"]["steps"] = 10**12
+        cfg = write_config(tmp_path, doc)
+        assert main(["profile", "--config", cfg, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"config error: scan.theta.steps: must be <= {MAX_THETA_STEPS}" in err
 
     def test_rotational_state_without_arm_exits_1(self, tmp_path, capsys):
         doc = two_slit_doc()

@@ -7,6 +7,7 @@ import pytest
 
 from rotor_scatter.model import (
     GAUSSIAN,
+    MAX_THETA_STEPS,
     POLYNOMIAL_GAUSSIAN,
     Config,
     ConfigError,
@@ -207,6 +208,19 @@ class TestValidateConfig:
         with pytest.raises(ConfigError) as exc:
             validate_config(doc)
         assert any(p == "scan.k[1]" for p, _ in exc.value.errors)
+
+    def test_theta_steps_capped_with_field_path(self):
+        doc = minimal_doc()
+        doc["scan"] = {"theta": {"min": 0.0, "max": 1.0, "steps": MAX_THETA_STEPS},
+                       "k": [1.0]}
+        assert validate_config(doc).scan.theta_steps == MAX_THETA_STEPS
+        for steps in (MAX_THETA_STEPS + 1, 10**12):
+            doc["scan"]["theta"]["steps"] = steps
+            with pytest.raises(ConfigError) as exc:
+                validate_config(doc)
+            assert {p for p, _ in exc.value.errors} == {"scan.theta.steps"}
+        with pytest.raises(ValueError):
+            ScanSpec(theta_min=0.0, theta_max=1.0, theta_steps=MAX_THETA_STEPS + 1)
 
     def test_boolean_is_not_a_number(self):
         doc = minimal_doc()

@@ -1,6 +1,8 @@
 """Serialization determinism: number formatting, JSON, CSV, SVG."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,9 @@ from hypothesis import strategies as st
 
 from rotor_scatter.model import CrossSectionProfile
 from rotor_scatter.output import (
+    _BLOCK_ROWS,
     emit_json,
+    fmt_table,
     fmt_real,
     manifest_hash,
     profile_csv,
@@ -34,6 +38,93 @@ class TestFmtReal:
             fmt_real(float("nan"))
         with pytest.raises(ValueError):
             fmt_real(float("inf"))
+
+
+# edge values of the 17-digit format: signed zeros, subnormals, the
+# largest finite doubles and exponents near +-300
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+               1.5e-310, 1.7976931348623157e308, -1.7976931348623157e308,
+               1e300, -3.3e-300, 1e-300, 0.1, 1.0, -2.5e-7, 123456789.0]
+
+
+def ref_table(values, sep=",", row_sep="\n"):
+    """fmt_real per value, joined the way fmt_table documents."""
+    rows = values if values and isinstance(values[0], list) else [values]
+    return row_sep.join(sep.join(fmt_real(v) for v in row) for row in rows)
+
+
+def ref_emit_json(value, indent=0):
+    """The recursive per-value writer the fast path must reproduce."""
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        rows = [f'{inner}{emit_json(str(k))}: {ref_emit_json(value[k], indent + 1)}'
+                for k in sorted(value, key=str)]
+        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        rows = [f"{inner}{ref_emit_json(v, indent + 1)}" for v in value]
+        return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
+    if isinstance(value, float):
+        return fmt_real(value)
+    return emit_json(value)
+
+
+def ref_sweep_csv(thetas, k_values, columns):
+    lines = [",".join(["theta"] + [f"k={fmt_real(k)}" for k in k_values])]
+    for i, th in enumerate(thetas):
+        lines.append(",".join([fmt_real(th)] + [fmt_real(c[i]) for c in columns]))
+    return "\n".join(lines) + "\n"
+
+
+def ref_profile_csv(profile):
+    channels = sorted(profile.per_channel) if profile.per_channel else []
+    cols = ["theta", "sigma"] + [f"sigma_{a}_{b}" for a, b in channels]
+    lines = [",".join(cols)]
+    for i in range(profile.thetas.size):
+        row = [fmt_real(profile.thetas[i]), fmt_real(profile.sigma[i])]
+        row.extend(fmt_real(profile.per_channel[c][i]) for c in channels)
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def edge_column(n, shift=0):
+    """n values cycling through EDGE_VALUES and a spread of magnitudes."""
+    rng = np.random.default_rng(n + shift)
+    spread = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 301, n)
+    edges = np.resize(np.array(EDGE_VALUES), n)
+    return np.where(np.arange(n) % 3 == 0, edges, spread)
+
+
+class TestFmtTable:
+    def test_edge_values_match_fmt_real(self):
+        assert fmt_table(EDGE_VALUES) == ref_table(EDGE_VALUES)
+        assert fmt_table(np.array(EDGE_VALUES), sep=",\n  ") == \
+            ref_table(EDGE_VALUES, sep=",\n  ")
+        table = [EDGE_VALUES[:5], EDGE_VALUES[5:10], EDGE_VALUES[10:15]]
+        assert fmt_table(np.array(table)) == ref_table(table)
+        assert fmt_table([]) == ""
+        assert fmt_table([1.0, 2.0], sep="%") == "1%2"
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=50))
+    def test_matches_fmt_real_per_value(self, values):
+        assert fmt_table(values) == ref_table(values)
+        assert fmt_table(np.array(values, dtype=float), sep=" ") == \
+            ref_table(values, sep=" ")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_first_non_finite_value_named(self, bad):
+        # first in row order is bad; first in column order would be the nan
+        table = np.array([[1.0, bad, 3.0], [math.nan, 2.0, -math.inf]])
+        with pytest.raises(ValueError) as got:
+            fmt_table(table)
+        with pytest.raises(ValueError) as want:
+            fmt_real(bad)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("cannot serialize non-finite value ")
 
 
 class TestEmitJson:
@@ -123,3 +214,111 @@ class TestSvg:
         cols = [[1.0, 2.0, 1.0], [2.0, 3.0, 2.0]]
         text = sweep_svg(th, [1.0, 2.0], cols, "sweep")
         assert text.count("<polyline") == 2
+
+
+class TestWritersMatchPerValueReference:
+    @pytest.mark.parametrize("rows", [1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+    def test_sweep_csv_across_block_boundary(self, rows):
+        thetas = np.linspace(-1.5, 1.5, rows) if rows > 1 else np.array([-0.0])
+        columns = [edge_column(rows, s) for s in range(3)]
+        ks = [0.25, 1.0, 1e-300]
+        assert sweep_csv(thetas, ks, columns) == ref_sweep_csv(thetas, ks, columns)
+
+    def test_sweep_csv_integer_list_entries(self):
+        thetas = [0, 0.5, 1]
+        columns = [[3, 4.0, -0.0], [5.5, 0, 2**52 + 1]]
+        text = sweep_csv(thetas, [1, 2.0], columns)
+        assert text == ref_sweep_csv(thetas, [1, 2.0], columns)
+        assert text.split("\n")[3] == "1,-0,4503599627370497"
+
+    @pytest.mark.parametrize("rows", [2, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("n_channels", [0, 3])
+    def test_profile_csv_across_block_boundary(self, rows, n_channels):
+        # a profile holds >= 2 ascending angles and non-negative sigma
+        def sigma_like(shift):
+            col = np.abs(edge_column(rows, shift))
+            col[::5] = -0.0
+            return col
+
+        # a quarter each, so three channels sum without overflow
+        per = {(0, 2 * i - 2): 0.25 * sigma_like(i) for i in range(n_channels)}
+        sigma = sum(per.values()) if per else sigma_like(9)
+        p = CrossSectionProfile(thetas=np.linspace(-1.5, 1.5, rows),
+                                sigma=sigma, per_channel=per or None)
+        assert profile_csv(p) == ref_profile_csv(p)
+
+    def test_columns_must_match_theta_grid(self):
+        with pytest.raises(ValueError):
+            sweep_csv([0.0, 0.5, 1.0], [1.0], [[3.0, 4.0]])
+
+    def test_mixed_json_document(self):
+        doc = {
+            "floats": EDGE_VALUES,
+            "tuple": tuple(EDGE_VALUES[:4]),
+            "ints": [1, -2, 0],
+            "mixed": [1.5, 2, True, None, np.float64(-0.0), "s", 5e-324],
+            "bools": [True, False],
+            "numpy": [np.float64(0.1), np.float64(1e300)],
+            "nested": [[0.25, -0.0], [], [[1e-300]], {"b": [2.0], "a": 1}],
+            "empty": {},
+            "scalar": np.float64(5e-324),
+            "column": edge_column(_BLOCK_ROWS + 1).tolist(),
+        }
+        assert emit_json(doc) == ref_emit_json(doc)
+        assert emit_json(doc, indent=2) == ref_emit_json(doc, indent=2)
+        assert json.loads(emit_json(doc))["floats"] == EDGE_VALUES
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_anywhere_rejected(self, bad):
+        rows = _BLOCK_ROWS + 1
+        message = "cannot serialize non-finite value "
+        for where in (0, _BLOCK_ROWS - 1, rows - 1):
+            col = edge_column(rows)
+            col[where] = bad
+            with pytest.raises(ValueError, match=message):
+                sweep_csv(np.linspace(0.0, 1.0, rows), [1.0], [col])
+            with pytest.raises(ValueError, match=message):
+                emit_json({"sigma": col.tolist()})
+            with pytest.raises(ValueError, match=message):
+                emit_json([[1.0, 2], col.tolist()])
+
+
+def ref_svg_points(xs, ys, x_range, y_range):
+    """The per-point scalar formula of the SVG writer."""
+    (x_lo, x_hi), (y_lo, y_hi) = x_range, y_range
+    x_span = (x_hi - x_lo) or 1.0
+    y_span = (y_hi - y_lo) or 1.0
+    return " ".join(f"{54 + (x - x_lo) / x_span * 532:.2f},"
+                    f"{420 - 54 - (y - y_lo) / y_span * 312:.2f}"
+                    for x, y in zip(xs, ys))
+
+
+class TestSvgArrays:
+    def test_points_match_scalar_formula(self):
+        rng = np.random.default_rng(3)
+        xs = np.sort(rng.uniform(-1.6, 1.6, 4001))
+        ys = rng.uniform(0.0, 1.0, 4001) * 10.0 ** rng.integers(-5, 6, 4001)
+        ys[::7] = -0.0
+        rx = (float(xs.min()), float(xs.max()))
+        ry = (min(float(ys.min()), 0.0), float(ys.max()))
+        text = profile_svg([("r", CrossSectionProfile(thetas=xs, sigma=ys))], "t")
+        expected = ref_svg_points(xs.tolist(), ys.tolist(), rx, ry)
+        assert f'points="{expected}"' in text
+
+    @pytest.mark.parametrize("col,label", [([-0.0, 1.0, 0.0], "-0"),
+                                           ([0.0, 1.0, -0.0], "0")])
+    def test_axis_label_keeps_first_zero_sign(self, col, label):
+        text = sweep_svg([0.0, 0.5, 1.0], [1.0], [col], "zeros")
+        assert f'text-anchor="end" font-family="sans-serif" font-size="11">{label}<' in text
+
+
+class TestPinnedBytes:
+    def test_every_output_file_reproduced(self, tmp_path, monkeypatch):
+        """sha256 of all files of the figure runs and a per-channel profile,
+        frozen by scripts/freeze_output_bytes.py."""
+        root = Path(__file__).resolve().parent.parent
+        monkeypatch.syspath_prepend(str(root / "scripts"))
+        from freeze_output_bytes import output_digests
+
+        frozen = json.loads((root / "tests" / "output_sha256.json").read_text())
+        assert output_digests(tmp_path) == frozen
