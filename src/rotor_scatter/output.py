@@ -49,22 +49,22 @@ def fmt_real(x: float) -> str:
     return format(x, ".17g")
 
 
-def fmt_table(values, sep: str = ",", row_sep: str = "\n") -> str:
+def fmt_table(values, sep: str = ",") -> str:
     """``fmt_real`` of every value of a 1-D or 2-D array, joined by sep
-    within a row and by row_sep between rows.
+    within a row and by newlines between rows.
 
     One finiteness check covers the array, and one ``%`` call with a
-    ``%.17g`` per value formats it, which prints what ``fmt_real`` prints.
-    A non-finite value raises ``fmt_real``'s error for the first one in
-    row order.
+    ``%.17g`` per value formats it, which prints what ``fmt_real`` prints;
+    sep goes into that template, so it must not contain ``%``. A
+    non-finite value raises ``fmt_real``'s error for the first one in row
+    order.
     """
     arr = np.asarray(values, dtype=float)
-    rows = arr.reshape(-1, arr.shape[-1]) if arr.ndim == 2 else arr.reshape(1, -1)
+    rows = arr if arr.ndim == 2 else arr.reshape(1, -1)
     finite = np.isfinite(rows)
     if not finite.all():
         fmt_real(rows.flat[np.argmin(finite)])
-    row = sep.replace("%", "%%").join(["%.17g"] * rows.shape[1])
-    template = row_sep.replace("%", "%%").join([row] * rows.shape[0])
+    template = "\n".join([sep.join(["%.17g"] * rows.shape[1])] * rows.shape[0])
     return template % tuple(rows.ravel().tolist())
 
 
