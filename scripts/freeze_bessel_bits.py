@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Freeze exact J_n(x) bits into tests/bessel_bits.json.
 
-Records float.hex of bessel_j(n, x) on a fixed set of (n, x) points so
+Records float.hex of J_n(x) on a fixed set of (n, x) points so
 that later changes to the recurrence (start order, loop layout) can be
 held to the same doubles. The points cover:
 
@@ -15,9 +15,11 @@ held to the same doubles. The points cover:
   * ladder-like points, x <= 200 and |n| <= 100, both signs, a few
     orders with many arguments each as an angle grid has.
 
-Before writing, each value is checked against bessel_j_batch and
-bessel_j_grid; the three paths must agree bit for bit. Run once on a
-trusted kernel, from the repository root:
+All points go through one bessel_j_grid call, each element with its own
+order. Before writing, the values are checked against one single-order
+grid call per order and against bessel_j_batch at every argument frozen
+at several orders; they must agree bit for bit. Run once on a trusted
+kernel, from the repository root:
 
     PYTHONPATH=src python scripts/freeze_bessel_bits.py
 """
@@ -32,7 +34,6 @@ import numpy as np
 from rotor_scatter.specfun import (
     BesselOrderRange,
     _start_orders,
-    bessel_j,
     bessel_j_batch,
     bessel_j_grid,
 )
@@ -83,24 +84,29 @@ def points():
 
 
 def main() -> int:
-    entries = []
+    pts = points()
+    values = bessel_j_grid(np.array([n for n, _ in pts]),
+                           np.array([x for _, x in pts])).tolist()
     by_order = defaultdict(list)
-    for n, x in points():
-        v = bessel_j(n, x)
-        m = abs(n)
-        b = bessel_j_batch(BesselOrderRange(m), x)[m]
-        if n < 0 and n % 2:
-            b = -b
-        if b.hex() != v.hex():
-            print(f"batch disagrees at n={n}, x={x!r}", file=sys.stderr)
-            return 1
-        entries.append([n, x.hex(), v.hex()])
+    by_x = defaultdict(list)
+    for (n, x), v in zip(pts, values):
         by_order[n].append((x, v))
+        by_x[x].append((n, v))
     for n, rows in by_order.items():
         grid = bessel_j_grid(n, np.array([x for x, _ in rows]))
         if any(g.hex() != v.hex() for g, (_, v) in zip(grid.tolist(), rows)):
             print(f"grid disagrees at n={n}", file=sys.stderr)
             return 1
+    for x, rows in by_x.items():
+        if len(rows) < 2:
+            continue
+        row = bessel_j_batch(BesselOrderRange(max(abs(n) for n, _ in rows)), x)
+        for n, v in rows:
+            b = -row[-n] if n < 0 and n % 2 else row[abs(n)]
+            if b.hex() != v.hex():
+                print(f"batch disagrees at n={n}, x={x!r}", file=sys.stderr)
+                return 1
+    entries = [[n, x.hex(), v.hex()] for (n, x), v in zip(pts, values)]
     body = ",\n".join(json.dumps(e) for e in entries)
     TARGET.write_text('{"points": [\n' + body + "\n]}\n", encoding="utf-8")
     print(f"wrote {len(entries)} points to {TARGET}")

@@ -14,18 +14,25 @@ Conventions: hbar = 1, beam along +y with wavenumber k, flux prefactor
 (2 pi)^3 * 4 m^2 / k for the rotor and 2 pi M^2 / k for the point
 particle. The structureless COMPARISON convention (total mass 2m, every
 peak strength doubled, see structureless_counterpart) is the caller's
-job; cross_section_structureless itself takes whatever it is given.
+job; profile_structureless itself takes whatever it is given.
+
+Every engine evaluates a theta grid; a caller that wants a few angles
+passes a grid holding them (a profile needs two ascending samples).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
 
 from . import specfun
-from .kinematics import geometry, geometry_grid, open_channels, outgoing_wavenumber
+from .kinematics import (  # noqa: F401  (perfbench wraps born.outgoing_wavenumber)
+    Q_DEGENERATE,
+    geometry_grid,
+    open_channels,
+    outgoing_wavenumber,
+)
 from .model import (
     CrossSectionProfile,
     IncidentBeam,
@@ -34,12 +41,7 @@ from .model import (
     PeakShape,
     PotentialSpec,
 )
-from .potentials import (
-    dirichlet_amplitude,
-    dirichlet_amplitude_grid,
-    ft_total,
-    ft_total_grid,
-)
+from .potentials import dirichlet_amplitude_grid, ft_total_grid
 
 
 class UnsupportedVariantError(ValueError):
@@ -52,47 +54,25 @@ def _rotor_prefactor(mass: float, k: float) -> float:
 
 def matrix_element(spec: PotentialSpec, molecule: Molecule, k: float,
                    theta: float, l_in: int, l_out: int, kappa: float) -> complex:
-    """Transition amplitude for one open channel.
+    """Transition amplitude for one open channel at one angle.
 
     (1/2pi) * exp(-i(l_in-l_out)mu) * [1 + (-1)^(l_in-l_out)]
            * J_(l_in-l_out)(alpha |q|) * V_total(q)
 
     The parity factor is 2 for even transfer and kills odd transfer
-    exactly; the 2/(2pi) is folded into 1/pi below.
+    exactly; the 2/(2pi) is folded into 1/pi below. This is the only
+    complex amplitude: the profile engines form |amplitude|^2 directly,
+    where the phase mu cancels.
     """
     n = l_in - l_out
     if n % 2 != 0:
         return 0j
-    g = geometry(k, kappa, theta)
-    bess = specfun.bessel_j(n, molecule.half_separation * g.q_mag)
-    vtot = ft_total(spec, g.q_x, g.q_y)
-    return (1.0 / math.pi) * cmath.exp(-1j * (n * g.mu)) * bess * vtot
-
-
-def cross_section_general(theta: float, molecule: Molecule, beam: IncidentBeam,
-                          spec: PotentialSpec):
-    """(sigma, per_channel) at one angle, summing all open even channels.
-
-    per_channel maps (l_in, l_out) to its nonnegative contribution; the
-    total is their exactly-rounded sum in ascending channel order.
-    """
-    k = beam.wavenumber
-    c = _rotor_prefactor(molecule.atom_mass, k)
-    per = {}
-    for ch in open_channels(beam, molecule, parity_only=True):
-        me = matrix_element(spec, molecule, k, theta, ch.l_in, ch.l_out, ch.kappa)
-        per[(ch.l_in, ch.l_out)] = c * ch.weight * (me.real * me.real + me.imag * me.imag)
-    return math.fsum(per.values()), per
-
-
-def cross_section_structureless(theta: float, mass: float, k: float,
-                                spec: PotentialSpec) -> float:
-    """Point particle of the given mass: elastic, single channel."""
-    if mass <= 0:
-        raise ValueError("mass must be > 0")
-    g = geometry(k, k, theta)
-    v = ft_total(spec, g.q_x, g.q_y)
-    return 2.0 * math.pi * mass * mass / k * (v.real * v.real + v.imag * v.imag)
+    q_x, q_y, q_mag = geometry_grid(k, kappa, np.array([theta], dtype=float))
+    mu = np.where(q_mag < Q_DEGENERATE, 0.0, np.arctan2(-q_x, -q_y))
+    bess = specfun.bessel_j_grid(n, molecule.half_separation * q_mag)
+    re, im = ft_total_grid(spec, q_x, q_y)
+    amp = (1.0 / math.pi) * np.exp(-1j * (n * mu)) * bess * (re + 1j * im)
+    return complex(amp[0])
 
 
 def structureless_counterpart(molecule: Molecule, spec: PotentialSpec):
@@ -126,20 +106,6 @@ def _require(variant, **params):
             f"{variant} needs parameters: {', '.join(sorted(missing))}")
 
 
-def _even_channels(k: float, alpha: float):
-    """Signed even l' with open outgoing wavenumber, ascending."""
-    mol = Molecule(atom_mass=1.0, half_separation=alpha)
-    l_max = int(math.floor(math.sqrt((k * alpha) ** 2))) + 1
-    if l_max % 2 == 1:
-        l_max += 1
-    out = []
-    for l_out in range(-l_max, l_max + 1, 2):
-        kappa = outgoing_wavenumber(k, 0, l_out, mol)
-        if kappa is not None:
-            out.append((l_out, kappa))
-    return out
-
-
 def _mixed_bracket(w, cos_term):
     # regrouped from 1 + w^2/16 + (w/2)cos(2 q_x d): the two-square form
     # mirrors |V|^2 = (sum)^2 cos^2 + (difference)^2 sin^2 of the pair,
@@ -148,65 +114,8 @@ def _mixed_bracket(w, cos_term):
     return half * half + w * cos_term * cos_term
 
 
-def cross_section_closed(variant: str, theta: float, *, mass: float, v0: float,
-                         delta: float, k: float, alpha: float | None = None,
-                         d: float | None = None, half_count: int | None = None,
-                         initial_l: int = 0) -> float:
-    """Hand-derived cross section for one of the six special setups.
-
-    Internal-structure variants sum signed even l' channels with the
-    exact energy threshold; structureless variants evaluate at kappa = k.
-    All assume the beam starts in the l = 0 state.
-    """
-    if initial_l != 0:
-        raise UnsupportedVariantError(
-            f"{variant} covers only a ground-state beam (the general engine "
-            "handles other initial states)")
-    if k <= 0:
-        raise ValueError("k must be > 0")
-    base = math.pi * mass * mass * v0 * v0 * delta ** 4 / k
-
-    if variant in _INTERNAL_VARIANTS:
-        _require(variant, alpha=alpha, d=d)
-        if variant == "closed_grating":
-            _require(variant, half_count=half_count)
-        terms = []
-        for l_out, kappa in _even_channels(k, alpha):
-            g = geometry(k, kappa, theta)
-            w = (g.q_mag * delta) ** 2
-            bess = specfun.bessel_j(l_out, alpha * g.q_mag)
-            damp = math.exp(-0.5 * w)
-            if variant == "closed_two_gaussian":
-                c = math.cos(g.q_x * d)
-                terms.append(32.0 * base * damp * bess * bess * c * c)
-            elif variant == "closed_grating":
-                dir_amp = dirichlet_amplitude(g.q_x * d, half_count)
-                terms.append(8.0 * base * damp * bess * bess * dir_amp * dir_amp)
-            else:  # closed_mixed
-                c = math.cos(g.q_x * d)
-                terms.append(8.0 * base * damp * bess * bess * _mixed_bracket(w, c))
-        return math.fsum(terms)
-
-    if variant in _STRUCTURELESS_VARIANTS:
-        _require(variant, d=d)
-        g = geometry(k, k, theta)
-        w = (g.q_mag * delta) ** 2
-        damp = math.exp(-0.5 * w)
-        if variant == "closed_structureless_two_gaussian":
-            c = math.cos(g.q_x * d)
-            return 32.0 * base * damp * c * c
-        if variant == "closed_structureless_grating":
-            _require(variant, half_count=half_count)
-            dir_amp = dirichlet_amplitude(g.q_x * d, half_count)
-            return 32.0 * base * damp * dir_amp * dir_amp
-        c = math.cos(g.q_x * d)  # closed_structureless_mixed
-        return 8.0 * base * damp * _mixed_bracket(w, c)
-
-    raise UnsupportedVariantError(f"not a closed-form variant: {variant!r}")
-
-
 # ---------------------------------------------------------------------------
-# grid engines over a theta array
+# engines over a theta grid
 
 def _kahan_add(total, comp, term):
     y = term - comp
@@ -259,8 +168,13 @@ def profile_closed(variant: str, thetas: np.ndarray, *, mass: float, v0: float,
                    delta: float, k: float, alpha: float | None = None,
                    d: float | None = None, half_count: int | None = None,
                    initial_l: int = 0) -> CrossSectionProfile:
-    """Grid twin of cross_section_closed, built from the same vector
-    primitives as profile_general so the two can be compared tightly."""
+    """Hand-derived cross section for one of the six special setups.
+
+    Internal-structure variants sum the open signed even l' channels of
+    open_channels; structureless variants evaluate at kappa = k. All
+    assume the beam starts in the l = 0 state. Built from the same
+    primitives as profile_general so the two can be compared tightly.
+    """
     if initial_l != 0:
         raise UnsupportedVariantError(
             f"{variant} covers only a ground-state beam (the general engine "
@@ -279,7 +193,10 @@ def profile_closed(variant: str, thetas: np.ndarray, *, mass: float, v0: float,
         comp = np.zeros_like(thetas)
         per = {}
         by_order = {}  # (kappa, |l'|) -> (q_x, w, J_l', damp); J_-l'^2 == J_l'^2
-        for l_out, kappa in _even_channels(k, alpha):
+        beam = IncidentBeam(wavenumber=k, amplitudes={0: 1.0})
+        mol = Molecule(atom_mass=1.0, half_separation=alpha)
+        for ch in open_channels(beam, mol, parity_only=True):
+            l_out, kappa = ch.l_out, ch.kappa
             key = (kappa, abs(l_out))
             if key not in by_order:
                 q_x, q_y, q_mag = geometry_grid(k, kappa, thetas)

@@ -218,12 +218,12 @@ def _columns_parallel(tasks, threads: int) -> List:
 
 def _profile_json_doc(p: CrossSectionProfile) -> dict:
     doc = {
-        "theta": p.thetas.tolist(),
-        "sigma": p.sigma.tolist(),
+        "theta": p.thetas,
+        "sigma": p.sigma,
         "metadata": dict(p.metadata),
     }
     if p.per_channel:
-        doc["channels"] = {f"sigma_{li}_{lo}": arr.tolist()
+        doc["channels"] = {f"sigma_{li}_{lo}": arr
                            for (li, lo), arr in sorted(p.per_channel.items())}
     return doc
 
@@ -266,8 +266,8 @@ def cmd_sweep(args) -> int:
         output.write_text(run_dir / "sweep.csv",
                           output.sweep_csv(thetas, scan.k_values, columns))
     if "json" in formats:
-        doc = {"theta": thetas.tolist(), "k": list(scan.k_values),
-               "sigma_columns": [c.tolist() for c in columns],
+        doc = {"theta": thetas, "k": list(scan.k_values),
+               "sigma_columns": columns,
                "engine": cfg.engine_variant}
         output.write_text(run_dir / "sweep.json", output.emit_json(doc) + "\n")
     if "svg" in formats:
@@ -316,9 +316,9 @@ def cmd_compare(args) -> int:
                           output.sweep_csv(thetas, k_values,
                                            [p.sigma for p in without_profiles]))
     if "json" in formats:
-        doc = {"theta": thetas.tolist(), "k": list(k_values),
-               "with": [p.sigma.tolist() for p in with_profiles],
-               "without": [p.sigma.tolist() for p in without_profiles],
+        doc = {"theta": thetas, "k": list(k_values),
+               "with": [p.sigma for p in with_profiles],
+               "without": [p.sigma for p in without_profiles],
                "engine": cfg.engine_variant,
                "reports": reports}
         output.write_text(run_dir / "compare.json", output.emit_json(doc) + "\n")

@@ -2,9 +2,10 @@
 
 Energy bookkeeping: an incoming state (k, l_in) can scatter into (kappa,
 l_out) when k^2 + (l_in^2 - l_out^2)/alpha^2 > 0. Marginal channels with
-kappa exactly 0 carry no outgoing flux and are excluded; both the
-channel-summed engine and the closed forms apply the same rule, so their
-channel sets always agree, including at threshold coincidences.
+kappa exactly 0 carry no outgoing flux and are excluded. The
+channel-summed engine and the closed forms both enumerate channels with
+open_channels, so their channel sets always agree, including at
+threshold coincidences.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import IncidentBeam, Molecule, ScatteringGeometry
+from .model import IncidentBeam, Molecule
 
 # below this |q| the matrix-element phase angle is set to 0 by convention
 Q_DEGENERATE = 1e-12
@@ -76,28 +77,18 @@ def open_channels(beam: IncidentBeam, molecule: Molecule,
     return out
 
 
-def geometry(k: float, kappa: float, theta: float) -> ScatteringGeometry:
-    """Momentum transfer q = k*y_hat - kappa*u_hat and its angle.
+def geometry_grid(k: float, kappa: float, thetas: np.ndarray):
+    """(q_x, q_y, |q|) arrays of the momentum transfer q = k*y_hat -
+    kappa*u_hat over a theta grid.
 
-    The angle satisfies sin = kappa*sin(theta)/|q|,
-    cos = (kappa*cos(theta) - k)/|q|; at |q| < 1e-12 it is set to 0,
-    which is observationally irrelevant (pure phase).
+    The matrix-element phase angle mu = atan2(-q_x, -q_y), set to 0 where
+    |q| < Q_DEGENERATE, cancels in |amplitude|^2; only the complex
+    amplitude of born.matrix_element forms it.
     """
     if k <= 0.0 or kappa < 0.0:
         raise ValueError("need k > 0 and kappa >= 0")
-    q_x = -kappa * math.sin(theta)
-    q_y = k - kappa * math.cos(theta)
-    # explicit sqrt rather than hypot: numpy and libm round hypot
-    # differently, and the grid path must reproduce these bits
-    q_mag = math.sqrt(q_x * q_x + q_y * q_y)
-    mu = 0.0 if q_mag < Q_DEGENERATE else math.atan2(-q_x, -q_y)
-    return ScatteringGeometry(theta=theta, kappa=kappa, q_x=q_x, q_y=q_y,
-                              q_mag=q_mag, mu=mu)
-
-
-def geometry_grid(k: float, kappa: float, thetas: np.ndarray):
-    """(q_x, q_y, |q|) arrays over a theta grid; the phase angle is not
-    needed on grid paths because it cancels in |amplitude|^2."""
     q_x = -kappa * np.sin(thetas)
     q_y = k - kappa * np.cos(thetas)
+    # explicit sqrt rather than hypot: the two round differently, and the
+    # pinned outputs were computed with this expression
     return q_x, q_y, np.sqrt(q_x * q_x + q_y * q_y)

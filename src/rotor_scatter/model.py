@@ -144,18 +144,6 @@ class PotentialSpec:
 
 
 @dataclass(frozen=True)
-class ScatteringGeometry:
-    """Per-evaluation kinematics of one outgoing direction."""
-
-    theta: float
-    kappa: float
-    q_x: float
-    q_y: float
-    q_mag: float
-    mu: float
-
-
-@dataclass(frozen=True)
 class ScanSpec:
     theta_min: float
     theta_max: float

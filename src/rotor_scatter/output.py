@@ -10,10 +10,10 @@ array for finiteness once, then fills a template holding one ``%.17g``
 per value in a single ``%`` call, which prints exactly what ``fmt_real``
 prints per value. The CSV writers format blocks of ``_BLOCK_ROWS`` rows,
 so only one block is held as Python floats at a time. ``emit_json``
-appends to a single list and joins once; a list of plain floats is one
-``fmt_table`` call. The SVG writers compute pixel coordinates over
-arrays, with the same IEEE operations in the same order as the scalar
-formula, and format each curve in one call. Every output byte is pinned
+appends to a single list and joins once; a list of plain floats or a
+1-D float64 array is one ``fmt_table`` call. The SVG writers compute
+pixel coordinates over arrays, with the same IEEE operations in the same
+order as the scalar formula, and format each curve in one call. Every output byte is pinned
 by ``tests/output_sha256.json``.
 """
 
@@ -89,11 +89,13 @@ def _emit_json(value, indent: int, out: List[str]) -> None:
             sep = ",\n"
         out.append("\n" + pad + "}")
         return
-    if isinstance(value, (list, tuple)):
-        if not value:
+    vector = isinstance(value, np.ndarray) and value.ndim == 1 \
+        and value.dtype == np.float64
+    if vector or isinstance(value, (list, tuple)):
+        if len(value) == 0:
             out.append("[]")
             return
-        if all(type(v) is float for v in value):
+        if vector or all(type(v) is float for v in value):
             out.append("[\n" + inner + fmt_table(value, sep=",\n" + inner))
         else:
             sep = "[\n"

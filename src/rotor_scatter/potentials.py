@@ -14,8 +14,6 @@ A peak shifted to center c picks up exp(-i q_x c).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .model import (  # noqa: F401  (make_grating re-exported on purpose)
@@ -32,16 +30,9 @@ _RATIO_MIN_S = 0.1
 _SERIES_Y = 0.02
 
 
-def ft_peak(shape: PeakShape, q_mag: float) -> float:
-    """Single-peak transform at radial momentum transfer q_mag >= 0."""
-    t = q_mag * shape.width
-    base = 0.5 * shape.strength * shape.width * shape.width * math.exp(-0.25 * t * t)
-    if shape.variant == GAUSSIAN:
-        return base
-    return 0.25 * t * t * base
-
-
-def ft_peak_grid(shape: PeakShape, q_mag: np.ndarray) -> np.ndarray:
+def ft_peak(shape: PeakShape, q_mag):
+    """Single-peak transform at radial momentum transfer q_mag >= 0, a
+    float or an array."""
     t = q_mag * shape.width
     base = 0.5 * shape.strength * shape.width * shape.width * np.exp(-0.25 * t * t)
     if shape.variant == GAUSSIAN:
@@ -49,33 +40,12 @@ def ft_peak_grid(shape: PeakShape, q_mag: np.ndarray) -> np.ndarray:
     return 0.25 * t * t * base
 
 
-def ft_total(spec: PotentialSpec, q_x: float, q_y: float) -> complex:
-    """Transform of the whole potential at q = (q_x, q_y).
-
-    Exact summation (fsum) makes the value independent of peak order,
-    bit for bit. For center sets symmetric under x -> -x the imaginary
-    part cancels exactly and values at +-q_x are complex conjugates.
-    """
-    q = math.hypot(q_x, q_y)
-    cache = {}
-    res = []
-    ims = []
-    for p in spec.peaks:
-        ft = cache.get(p.shape)
-        if ft is None:
-            ft = ft_peak(p.shape, q)
-            cache[p.shape] = ft
-        a = q_x * p.center_x
-        res.append(ft * math.cos(a))
-        ims.append(-ft * math.sin(a))
-    return complex(math.fsum(res), math.fsum(ims))
-
-
 def ft_total_grid(spec: PotentialSpec, q_x: np.ndarray, q_y: np.ndarray):
-    """(re, im) arrays of the total transform over a grid.
+    """(re, im) arrays of the whole potential's transform at q = (q_x, q_y).
 
-    Peaks are folded in a canonical sorted order so the result does not
-    depend on how the peak list was assembled.
+    Peaks are folded in a canonical sorted order, so the result does not
+    depend on how the peak list was assembled, bit for bit; values at
+    +-q_x are exact complex conjugates.
     """
     q = np.hypot(q_x, q_y)
     order = sorted(
@@ -90,7 +60,7 @@ def ft_total_grid(spec: PotentialSpec, q_x: np.ndarray, q_y: np.ndarray):
         p = spec.peaks[i]
         ft = cache.get(p.shape)
         if ft is None:
-            ft = ft_peak_grid(p.shape, q)
+            ft = ft_peak(p.shape, q)
             cache[p.shape] = ft
         a = q_x * p.center_x
         re = re + ft * np.cos(a)
@@ -105,7 +75,7 @@ def _dirichlet_coeffs(m: int):
     return c2, c4
 
 
-def dirichlet_amplitude(x: float, half_count: int) -> float:
+def dirichlet_amplitude_grid(x: np.ndarray, half_count: int) -> np.ndarray:
     """sin((2N+1)x/2)/sin(x/2) for a 2N+1-peak grating, N = half_count.
 
     The direct ratio is inaccurate near the revivals x = 0 mod 2pi: the
@@ -117,28 +87,6 @@ def dirichlet_amplitude(x: float, half_count: int) -> float:
     tiny. Peaks at 2N+1, reached at x = 0; identically 1 for one peak.
     Relative error stays near 1e-15, growing to ~1e-12 by |x| ~ 1e3.
     """
-    if not isinstance(half_count, int) or half_count < 0:
-        raise ValueError("half_count must be an integer >= 0")
-    if half_count == 0:
-        return 1.0
-    m = 2 * half_count + 1
-    h = 0.5 * x
-    s = math.sin(h)
-    if abs(s) >= _RATIO_MIN_S:
-        return math.sin(m * h) / s
-    u = h - math.pi * round(x / (2.0 * math.pi))
-    y = m * u
-    if abs(y) < _SERIES_Y:
-        c2, c4 = _dirichlet_coeffs(m)
-        u2 = u * u
-        return m * (1.0 - c2 * u2 + c4 * (u2 * u2))
-    # sign: sin(m(pi j + u)) = (-1)^j sin(mu) for odd m, matching the
-    # (-1)^j of the denominator
-    return math.sin(y) / math.sin(u)
-
-
-def dirichlet_amplitude_grid(x: np.ndarray, half_count: int) -> np.ndarray:
-    """Same values as dirichlet_amplitude, element for element."""
     if not isinstance(half_count, int) or half_count < 0:
         raise ValueError("half_count must be an integer >= 0")
     x = np.asarray(x, dtype=float)
@@ -157,6 +105,8 @@ def dirichlet_amplitude_grid(x: np.ndarray, half_count: int) -> np.ndarray:
         c2, c4 = _dirichlet_coeffs(m)
         u2 = u * u
         series = m * (1.0 - c2 * u2 + c4 * (u2 * u2))
+        # sign: sin(m(pi j + u)) = (-1)^j sin(mu) for odd m, matching the
+        # (-1)^j of the denominator
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.sin(y) / np.sin(u)
         out[near] = np.where(np.abs(y) < _SERIES_Y, series, ratio)

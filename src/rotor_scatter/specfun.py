@@ -49,16 +49,15 @@ would ask for more lie so far in the tail that the truncation error
 of that start, below 2 B_{U+9} < 1e-330 absolutely, is far under one
 unit in the last place of their values.
 
-The start is a function of (n, x) alone: the scalar path, the batch
-path (started from its highest nonzero order) and the grid path run the
-same rule, and rescaling by the exact power 2^-830 never rounds
-(pending rescales are replayed with ldexp at the end). The grid path
-mirrors the scalar code operation for operation in numpy, elements in
-descending start order so that each step touches only the elements
-already seeded, and it agrees with scalar calls to the bit. A start
-above the needed one changes the result by less than the certified
-bound, so batch and scalar results agree to the bit as well except on
-values within ~1e-31 relative of a rounding tie.
+One kernel, bessel_j_grid, evaluates every request. Each element
+carries its own order and its own start, a function of (n, x) alone,
+and rescaling by the exact power 2^-830 never rounds (pending rescales
+are replayed with ldexp at the end). Elements run in descending start
+order, so each recurrence step touches only the elements already
+seeded, and an element's value is stored when the step reaches its
+order. bessel_j (one element) and bessel_j_batch (orders 0..n_max at
+one x) are calls into it, so a value does not depend on the entry point
+or on the other elements of the call.
 """
 
 from __future__ import annotations
@@ -94,15 +93,6 @@ class BesselOrderRange:
             raise ValueError("n_max must be >= 0")
         if self.n_max > ORDER_CAP:
             raise ValueError(f"n_max exceeds the supported cap {ORDER_CAP}")
-
-
-def _check_x(x: float) -> float:
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError("argument must be finite")
-    if x < 0.0:
-        raise ValueError("argument must be >= 0")
-    return x
 
 
 def _logbound(m, lh):
@@ -152,17 +142,13 @@ def _start_orders(xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _start_order(x: float) -> int:
-    return int(_start_orders(np.array([x]))[0])
-
-
 def _tail_integral(a, x):
     # G(a) = integral of arccosh(t/x) dt from x to a, for a >= x
     return a * np.arccosh(a / x) - np.sqrt((a - x) * (a + x))
 
 
-def _seed_orders(x: np.ndarray, n: int, U: np.ndarray) -> np.ndarray:
-    """Start order N of the recurrence for order n < U(x), elementwise.
+def _seed_orders(x: np.ndarray, n: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """Start order N of the recurrence for orders n < U(x), elementwise.
 
     Smallest N > n, N >= x, meeting both truncation conditions of the
     module docstring, capped at U(x) + _START_PAD. Both conditions are
@@ -171,7 +157,7 @@ def _seed_orders(x: np.ndarray, n: int, U: np.ndarray) -> np.ndarray:
     lh = np.log(0.5 * x)
     cap = (U + _START_PAD).astype(float)
     tail = n >= x
-    g_n = _tail_integral(np.maximum(float(n), x), x)
+    g_n = _tail_integral(np.maximum(n, x), x)
 
     def certified(N):
         m = N + 1.0
@@ -184,8 +170,8 @@ def _seed_orders(x: np.ndarray, n: int, U: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# double-double primitives (scalar). The numpy grid path repeats these
-# formulas verbatim on arrays; keep the two in lockstep.
+# double-double primitives; plain arithmetic, so they run on floats and
+# numpy arrays alike
 
 def _two_sum(a, b):
     s = a + b
@@ -227,191 +213,85 @@ def _dd_div_out(xh, xl, yh, yl):
     return q + rh / yh
 
 
-def _series_row(x: float, n_hi: int) -> list[float]:
-    # ascending series, x < _SERIES_X: truncation below 1e-38 relative
-    y = 0.25 * x * x
-    out = [0.0] * (n_hi + 1)
-    t = 1.0
-    half = 0.5 * x
-    for n in range(n_hi + 1):
-        if n > 0:
-            t = t * (half / n)
-            if t == 0.0:
-                break
-        corr = 1.0 - y / (n + 1) + (y * y) / (2.0 * (n + 1) * (n + 2))
-        out[n] = t * corr
-    return out
-
-
-def _miller_row(x: float, n_hi: int) -> list[float]:
-    U = _start_order(x)
-    out = [0.0] * (n_hi + 1)
-    top = min(n_hi, U - 1)
-    start = int(_seed_orders(np.array([x]), top, np.array([U]))[0])
-    saved_h = [0.0] * (top + 1)
-    saved_l = [0.0] * (top + 1)
-    saved_ev = [0] * (top + 1)
-    jph = jpl = 0.0
-    jch, jcl = _SEED, 0.0
-    sh = sl = 0.0
-    events = 0
-    inv_x = 1.0 / x
-    for n in range(start, -1, -1):
-        if n <= top:
-            saved_h[n] = jch
-            saved_l[n] = jcl
-            saved_ev[n] = events
-        if n == 0:
-            sh, sl = _dd_add(sh, sl, jch, jcl)
-        elif n % 2 == 0:
-            sh, sl = _dd_add(sh, sl, 2.0 * jch, 2.0 * jcl)
-        if n > 0:
-            ch = (2.0 * n) * inv_x
-            th, tl = _two_prod(ch, x)
-            cl = ((2.0 * n - th) - tl) / x
-            mh, ml = _dd_mul(ch, cl, jch, jcl)
-            nh, nl = _dd_add(mh, ml, -jph, -jpl)
-            jph, jpl = jch, jcl
-            jch, jcl = nh, nl
-            if abs(jch) > _RESCALE:
-                jch *= _RESCALE_INV
-                jcl *= _RESCALE_INV
-                jph *= _RESCALE_INV
-                jpl *= _RESCALE_INV
-                sh *= _RESCALE_INV
-                sl *= _RESCALE_INV
-                events += 1
-    for n in range(top + 1):
-        shift = -830 * (events - saved_ev[n])
-        h = math.ldexp(saved_h[n], shift)
-        l = math.ldexp(saved_l[n], shift)
-        out[n] = _dd_div_out(h, l, sh, sl)
-    return out
-
-
-def _row(x: float, n_hi: int) -> list[float]:
-    if x < _SERIES_X:
-        return _series_row(x, n_hi)
-    return _miller_row(x, n_hi)
-
-
 def bessel_j(n: int, x: float) -> float:
-    """J_n(x) for integer n, real x >= 0.
-
-    Negative orders go through J_{-n} = (-1)^n J_n with an exact sign
-    flip. Raises ValueError for x < 0, non-finite x, or |n| beyond the
-    order cap.
-    """
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError("order must be an integer")
-    if abs(n) > ORDER_CAP:
-        raise ValueError(f"order exceeds the supported cap {ORDER_CAP}")
-    x = _check_x(x)
-    m = abs(n)
-    val = _row(x, m)[m]
-    if n < 0 and (n % 2 != 0):
-        val = -val
-    return val
+    """J_n(x) for integer n, real x >= 0: one element of bessel_j_grid."""
+    return float(bessel_j_grid(n, np.array([x], dtype=float))[0])
 
 
 def bessel_j_batch(order_range: BesselOrderRange, x: float) -> list[float]:
-    """[J_0(x), ..., J_n_max(x)], one recurrence started for the highest
-    nonzero order; each value equals its bessel_j call (module docstring)."""
+    """[J_0(x), ..., J_n_max(x)], each value that of its bessel_j call."""
     if not isinstance(order_range, BesselOrderRange):
         order_range = BesselOrderRange(int(order_range))
-    x = _check_x(x)
-    return _row(x, order_range.n_max)
+    orders = np.arange(order_range.n_max + 1)
+    return bessel_j_grid(orders, np.full(orders.size, x, dtype=float)).tolist()
 
 
-# ---------------------------------------------------------------------------
-# vectorized path for theta grids
+def bessel_j_grid(n, xs: np.ndarray) -> np.ndarray:
+    """J_n(x) over a one-dimensional array of arguments x >= 0.
 
-def _v_two_sum(a, b):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _v_split(a):
-    t = _SPLIT * a
-    hi = t - (t - a)
-    return hi, a - hi
-
-
-def _v_two_prod(a, b):
-    p = a * b
-    ah, al = _v_split(a)
-    bh, bl = _v_split(b)
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def _v_dd_add(xh, xl, yh, yl):
-    sh, sl = _v_two_sum(xh, yh)
-    sl = sl + (xl + yl)
-    return _v_two_sum(sh, sl)
-
-
-def _v_dd_mul(xh, xl, yh, yl):
-    ph, pl = _v_two_prod(xh, yh)
-    pl = pl + (xh * yl + xl * yh)
-    return _v_two_sum(ph, pl)
-
-
-def bessel_j_grid(n: int, xs: np.ndarray) -> np.ndarray:
-    """J_n over an array of arguments, one normalized recurrence pass.
-
-    Same algorithm as the scalar path (per-element start order from n,
-    double-double carry, exact rescaling); output matches elementwise
-    scalar calls bit for bit.
+    n is an integer, or an integer array shaped like xs giving each
+    element its own order. Negative orders go through J_{-n} = (-1)^n J_n
+    with an exact sign flip. Raises ValueError for a negative or
+    non-finite argument, a non-integer order, or |n| beyond the order cap.
     """
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError("order must be an integer")
-    if abs(n) > ORDER_CAP:
-        raise ValueError(f"order exceeds the supported cap {ORDER_CAP}")
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1:
         raise ValueError("argument grid must be one-dimensional")
+    ns = np.asarray(n)
+    if ns.dtype.kind not in "iu":
+        raise ValueError("order must be an integer")
+    if ns.ndim and ns.shape != xs.shape:
+        raise ValueError("order array must be shaped like the arguments")
+    if ((ns < -ORDER_CAP) | (ns > ORDER_CAP)).any():
+        raise ValueError(f"order exceeds the supported cap {ORDER_CAP}")
     if not np.isfinite(xs).all() or (xs < 0.0).any():
         raise ValueError("arguments must be finite and >= 0")
-    m = abs(n)
+    m = np.broadcast_to(np.abs(ns).astype(np.int64), xs.shape)
     out = np.zeros(xs.shape)
 
+    # ascending series, x < _SERIES_X: truncation below 1e-38 relative
     series = xs < _SERIES_X
     if series.any():
-        x = xs[series]
+        x, ms = xs[series], m[series]
         y = 0.25 * x * x
         half = 0.5 * x
         t = np.ones_like(x)
-        for j in range(1, m + 1):
-            t = t * (half / j)
-        corr = 1.0 - y / (m + 1) + (y * y) / (2.0 * (m + 1) * (m + 2))
+        for j in range(1, int(ms.max()) + 1):
+            live = (ms >= j) & (t != 0.0)
+            if not live.any():
+                break
+            t = np.where(live, t * (half / j), t)
+        corr = 1.0 - y / (ms + 1) + (y * y) / (2.0 * (ms + 1) * (ms + 2))
         out[series] = t * corr
 
     # orders at or past U(x) stay exactly 0.0
     idx = np.flatnonzero(~series)
     U = _start_orders(xs[idx])
-    idx, U = idx[m < U], U[m < U]
+    live = m[idx] < U
+    idx, U = idx[live], U[live]
     if idx.size:
-        starts = _seed_orders(xs[idx], m, U)
+        starts = _seed_orders(xs[idx], m[idx], U)
         order = np.argsort(-starts, kind="stable")
         idx = idx[order]
-        out[idx] = _miller_grid(m, xs[idx], starts[order])
+        out[idx] = _miller_grid(m[idx], xs[idx], starts[order])
 
-    if n < 0 and (n % 2 != 0):
-        out = -out
-    return out
+    return np.where((ns < 0) & (ns % 2 != 0), -out, out)
 
 
-def _miller_grid(m: int, x: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """J_m(x) from per-element starts (all > m) sorted descending.
+def _miller_grid(ms: np.ndarray, x: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """J_m(x) per element from per-element starts (each above its order
+    m) sorted descending.
 
-    Step k touches only the prefix of elements seeded at orders >= k;
-    each element sees exactly the operations of _miller_row.
+    Step k touches only the prefix of elements seeded at orders >= k, and
+    stores the value of every element whose order is k.
     """
     top = int(starts[0])
     active = np.searchsorted(-starts, -np.arange(top + 1), side="right")
+    by_order = np.argsort(ms, kind="stable")
+    orders, first = np.unique(ms[by_order], return_index=True)
+    save_at = dict(zip(orders.tolist(), np.split(by_order, first[1:])))
     inv_x = 1.0 / x
-    xh_s, xl_s = _v_split(x)  # x split is loop-invariant
+    xh_s, xl_s = _split(x)  # x split is loop-invariant
     jch = np.empty_like(x)
     jcl = np.empty_like(x)
     jph = np.empty_like(x)
@@ -419,6 +299,9 @@ def _miller_grid(m: int, x: np.ndarray, starts: np.ndarray) -> np.ndarray:
     sh = np.zeros_like(x)
     sl = np.zeros_like(x)
     events = np.zeros(x.shape, dtype=np.int64)
+    saved_h = np.empty_like(x)
+    saved_l = np.empty_like(x)
+    saved_ev = np.zeros(x.shape, dtype=np.int64)
     seeded = 0
     for k in range(top, -1, -1):
         c = int(active[k])
@@ -428,24 +311,25 @@ def _miller_grid(m: int, x: np.ndarray, starts: np.ndarray) -> np.ndarray:
             jph[seeded:c] = 0.0
             jpl[seeded:c] = 0.0
             seeded = c
-        if k == m:  # every element is seeded above m
-            saved_h = jch.copy()
-            saved_l = jcl.copy()
-            saved_ev = events.copy()
+        hit = save_at.get(k)
+        if hit is not None:  # every element is seeded above its order
+            saved_h[hit] = jch[hit]
+            saved_l[hit] = jcl[hit]
+            saved_ev[hit] = events[hit]
         if k == 0:
-            sh, sl = _v_dd_add(sh, sl, jch, jcl)
+            sh, sl = _dd_add(sh, sl, jch, jcl)
         elif k % 2 == 0:
-            sh[:c], sl[:c] = _v_dd_add(sh[:c], sl[:c], 2.0 * jch[:c], 2.0 * jcl[:c])
+            sh[:c], sl[:c] = _dd_add(sh[:c], sl[:c], 2.0 * jch[:c], 2.0 * jcl[:c])
         if k > 0:
             xc = x[:c]
             ch = (2.0 * k) * inv_x[:c]
             ph = ch * xc
-            chh, chl = _v_split(ch)
+            chh, chl = _split(ch)
             perr = ((chh * xh_s[:c] - ph) + chh * xl_s[:c] + chl * xh_s[:c]) \
                 + chl * xl_s[:c]
             cl = ((2.0 * k - ph) - perr) / xc
-            mh, ml = _v_dd_mul(ch, cl, jch[:c], jcl[:c])
-            nh, nl = _v_dd_add(mh, ml, -jph[:c], -jpl[:c])
+            mh, ml = _dd_mul(ch, cl, jch[:c], jcl[:c])
+            nh, nl = _dd_add(mh, ml, -jph[:c], -jpl[:c])
             # the current pair becomes the previous one; the buffers swap
             # whole, unseeded slots are overwritten when they are seeded
             jph, jch = jch, jph
@@ -463,11 +347,4 @@ def _miller_grid(m: int, x: np.ndarray, starts: np.ndarray) -> np.ndarray:
                 sl[:c] *= f
                 events[:c] += resc
     shift = (-830 * (events - saved_ev)).astype(np.int64)
-    h = np.ldexp(saved_h, shift)
-    l = np.ldexp(saved_l, shift)
-    # _dd_div_out, vectorized
-    q = h / sh
-    th, tl = _v_two_prod(q, sh)
-    tl = tl + q * sl
-    rh, _ = _v_dd_add(h, l, -th, -tl)
-    return q + rh / sh
+    return _dd_div_out(np.ldexp(saved_h, shift), np.ldexp(saved_l, shift), sh, sl)

@@ -17,7 +17,6 @@ import pytest
 
 from rotor_scatter import analysis, specfun
 from rotor_scatter.born import (
-    cross_section_general,
     matrix_element,
     profile_closed,
     profile_general,
@@ -232,12 +231,15 @@ def test_criterion_07_grating_fringe_spacing():
 def test_criterion_08_forward_coherent_scaling():
     mol = Molecule(atom_mass=1.0, half_separation=1.0)
     beam = IncidentBeam(wavenumber=2.0, amplitudes={0: 1.0})
-    single, _ = cross_section_general(
-        0.0, mol, beam, PotentialSpec(peaks=(Peak(0.0, gauss()),)))
+    thetas = np.array([0.0, 0.1])  # forward is the first sample
+
+    def forward(spec):
+        return profile_general(thetas, mol, beam, spec).sigma[0]
+
+    single = forward(PotentialSpec(peaks=(Peak(0.0, gauss()),)))
     worst = 0.0
     for n in (1, 2, 10):
-        total, _ = cross_section_general(0.0, mol, beam,
-                                         make_grating(n, 3.0, gauss()))
+        total = forward(make_grating(n, 3.0, gauss()))
         expected = float(2 * n + 1) ** 2
         worst = max(worst, abs(total / single - expected) / expected)
     verdict(8, "forward scaling with peak count", worst, 1e-9)
@@ -283,11 +285,12 @@ def test_criterion_10_bessel_battery():
         js = specfun.bessel_j_batch(specfun.BesselOrderRange(n_max), x)
         total = js[0] ** 2 + 2.0 * math.fsum(j * j for j in js[1:])
         worst = max(worst, abs(total - 1.0))
-    for n in range(1, 9):
-        for x in (0.0, 0.3, 1.5, 7.2, 40.1, 400.0):
-            lhs = specfun.bessel_j(-n, x)
-            rhs = (-1.0) ** n * specfun.bessel_j(n, x)
-            assert lhs == rhs, f"reflection broke at n={n}, x={x}"
+    ns, xs = np.meshgrid(np.arange(1, 9), (0.0, 0.3, 1.5, 7.2, 40.1, 400.0))
+    ns, xs = ns.ravel(), xs.ravel()
+    lhs = specfun.bessel_j_grid(-ns, xs)
+    rhs = (-1.0) ** ns * specfun.bessel_j_grid(ns, xs)
+    broke = [(int(n), float(x)) for n, x, a, b in zip(ns, xs, lhs, rhs) if a != b]
+    assert not broke, f"reflection broke at (n, x) = {broke}"
     zero_resid = abs(specfun.bessel_j(0, 2.404825557695773))
     assert zero_resid <= 1e-12, f"first root residual {zero_resid:.3e}"
     verdict(10, "cylinder function battery", worst, 1e-10,

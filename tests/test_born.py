@@ -1,5 +1,6 @@
 """Engine cross checks: anchors, symmetries, closed-form agreement."""
 
+import cmath
 import math
 
 import numpy as np
@@ -10,9 +11,6 @@ from hypothesis import strategies as st
 from rotor_scatter import born, specfun
 from rotor_scatter.born import (
     UnsupportedVariantError,
-    cross_section_closed,
-    cross_section_general,
-    cross_section_structureless,
     matrix_element,
     profile_closed,
     profile_general,
@@ -28,6 +26,7 @@ from rotor_scatter.model import (
     PeakShape,
     PotentialSpec,
 )
+from rotor_scatter.oracle import matrix_element_quadrature
 from rotor_scatter.potentials import make_grating
 
 
@@ -45,6 +44,38 @@ UNIT_ROTOR = Molecule(atom_mass=1.0, half_separation=1.0)
 BEAM1 = IncidentBeam(wavenumber=1.0, amplitudes={0: 1.0})
 
 
+def at_angle(make_profile, theta):
+    """(sigma, per_channel) at one angle, from a two-sample grid starting
+    there (a profile needs two ascending samples)."""
+    p = make_profile(np.array([theta, theta + 1e-3]))
+    per = {key: arr[0] for key, arr in (p.per_channel or {}).items()}
+    return p.sigma[0], per
+
+
+def cross_section_general(theta, molecule, beam, spec):
+    return at_angle(lambda th: profile_general(th, molecule, beam, spec), theta)
+
+
+def cross_section_structureless(theta, mass, k, spec):
+    return at_angle(lambda th: profile_structureless(th, mass, k, spec), theta)[0]
+
+
+def cross_section_closed(variant, theta, **kw):
+    return at_angle(lambda th: profile_closed(variant, th, **kw), theta)[0]
+
+
+def amplitude_sum(theta, molecule, beam, spec, amplitude=matrix_element):
+    """sigma and its channel terms at one angle from a complex amplitude:
+    prefactor * |psi_l|^2 * |amplitude|^2 per open even channel."""
+    c = (2.0 * math.pi) ** 3 * 4.0 * molecule.atom_mass ** 2 / beam.wavenumber
+    per = {}
+    for ch in born.open_channels(beam, molecule, parity_only=True):
+        me = amplitude(spec, molecule, beam.wavenumber, theta, ch.l_in,
+                       ch.l_out, ch.kappa)
+        per[(ch.l_in, ch.l_out)] = c * ch.weight * abs(me) ** 2
+    return math.fsum(per.values()), per
+
+
 class TestMatrixElement:
     def test_odd_transfer_is_exact_zero(self):
         for l_in, l_out in ((0, 1), (0, -3), (2, 1), (-1, 2)):
@@ -59,30 +90,34 @@ class TestMatrixElement:
     def test_uses_bessel_through_module_attribute(self, monkeypatch):
         # a broken special function must be visible downstream; this guards
         # against the engines quietly swapping in another evaluator
-        monkeypatch.setattr(specfun, "bessel_j", lambda n, x: 0.0)
+        monkeypatch.setattr(specfun, "bessel_j_grid", lambda n, xs: np.zeros_like(xs))
         me = matrix_element(TWO_SLIT, UNIT_ROTOR, 1.0, 0.3, 0, 0, 1.0)
         assert me == 0j
 
+    def test_phase_angle_convention(self):
+        # mu = atan2(-q_x, -q_y) enters as exp(-i n mu); a single centred
+        # Gaussian has a real positive transform and J_2(alpha |q|) > 0
+        # for a short arm, so the amplitude's phase is exactly -2 mu
+        spec = PotentialSpec(peaks=(Peak(0.0, gauss(1, 1)),))
+        mol = Molecule(atom_mass=1.0, half_separation=0.1)
+        side = matrix_element(spec, mol, 1.0, math.pi / 2, 2, 0, 1.0)
+        assert side.imag > 0 and abs(side.real) <= 1e-15 * abs(side)  # mu = 3pi/4
+        ahead = matrix_element(spec, mol, 2.0, 0.0, 2, 0, 1.0)
+        assert ahead.real > 0 and abs(ahead.imag) <= 1e-15 * abs(ahead)  # mu = pi
+        for theta in (0.3, 1.1, 2.9):
+            q_x = -1.5 * math.sin(theta)
+            q_y = 2.0 - 1.5 * math.cos(theta)
+            me = matrix_element(spec, mol, 2.0, theta, 2, 0, 1.5)
+            assert cmath.phase(me) == pytest.approx(
+                cmath.phase(cmath.exp(-2j * math.atan2(-q_x, -q_y))), abs=1e-14)
+
     def test_phase_convention_cancels_in_cross_section(self, monkeypatch):
-        # shifting the angular origin of the momentum-transfer phase must
-        # leave every |amplitude|^2 unchanged
-        import rotor_scatter.born as born_mod
-        from rotor_scatter.kinematics import geometry as real_geometry
-        from rotor_scatter.model import ScatteringGeometry
-
-        base, _ = cross_section_general(0.8, UNIT_ROTOR,
-                                        IncidentBeam(wavenumber=2.5, amplitudes={0: 1.0}),
-                                        TWO_SLIT)
-
-        def shifted(k, kappa, theta):
-            g = real_geometry(k, kappa, theta)
-            return ScatteringGeometry(theta=g.theta, kappa=g.kappa, q_x=g.q_x,
-                                      q_y=g.q_y, q_mag=g.q_mag, mu=g.mu + 0.37)
-
-        monkeypatch.setattr(born_mod, "geometry", shifted)
-        moved, _ = cross_section_general(0.8, UNIT_ROTOR,
-                                         IncidentBeam(wavenumber=2.5, amplitudes={0: 1.0}),
-                                         TWO_SLIT)
+        # moving the angular origin of the momentum-transfer phase (here to
+        # mu = 0 at every angle) must leave every |amplitude|^2 unchanged
+        beam = IncidentBeam(wavenumber=2.5, amplitudes={0: 1.0})
+        base, _ = amplitude_sum(0.8, UNIT_ROTOR, beam, TWO_SLIT)
+        monkeypatch.setattr(born, "Q_DEGENERATE", math.inf)
+        moved, _ = amplitude_sum(0.8, UNIT_ROTOR, beam, TWO_SLIT)
         assert moved == pytest.approx(base, rel=1e-13)
 
 
@@ -282,31 +317,41 @@ class TestStructurelessLimit:
 
 class TestGridEngines:
     def test_profile_matches_scalar_general(self):
+        # against the per-angle sum over the complex channel amplitudes
         beam = IncidentBeam(wavenumber=2.5, amplitudes={0: 1.0})
         th = np.linspace(-1.2, 1.2, 41)
         p = profile_general(th, UNIT_ROTOR, beam, TWO_SLIT)
         for i in (0, 7, 20, 33, 40):
-            s, per = cross_section_general(float(th[i]), UNIT_ROTOR, beam, TWO_SLIT)
+            s, per = amplitude_sum(float(th[i]), UNIT_ROTOR, beam, TWO_SLIT)
             assert p.sigma[i] == pytest.approx(s, rel=5e-14)
             for key, arr in p.per_channel.items():
                 assert arr[i] == pytest.approx(per[key], rel=5e-14, abs=1e-290)
 
     def test_profile_matches_scalar_closed(self):
+        # against the quadrature oracle, angle by angle: the closed grating
+        # is the general engine on the same (2N+1)-peak grating
         th = np.linspace(-1.0, 1.0, 21)
         p = profile_closed("closed_grating", th, mass=1.2, v0=0.8, delta=1.1,
                            k=3.0, alpha=0.61, d=1.3, half_count=2)
+        spec = make_grating(2, 1.3, gauss(0.8, 1.1))
+        mol = Molecule(atom_mass=1.2, half_separation=0.61)
+        beam = IncidentBeam(wavenumber=3.0, amplitudes={0: 1.0})
         for i in (0, 5, 13, 20):
-            v = cross_section_closed("closed_grating", float(th[i]), mass=1.2,
-                                     v0=0.8, delta=1.1, k=3.0, alpha=0.61,
-                                     d=1.3, half_count=2)
-            assert p.sigma[i] == pytest.approx(v, rel=5e-14)
+            v, _ = amplitude_sum(float(th[i]), mol, beam, spec,
+                                 matrix_element_quadrature)
+            assert p.sigma[i] == pytest.approx(v, rel=1e-9)
 
     def test_profile_matches_scalar_structureless(self):
+        # against the closed form of two Gaussians at +-2, angle by angle:
+        # |V|^2 = (v0 delta^2 / 2)^2 exp(-(q delta)^2 / 2) 4 cos^2(2 q_x)
         th = np.linspace(-1.0, 1.0, 21)
-        p = profile_structureless(th, 2.0, 1.5, TWO_SLIT)
+        k = 1.5
+        p = profile_structureless(th, 2.0, k, TWO_SLIT)
         for i in (0, 10, 20):
-            v = cross_section_structureless(float(th[i]), 2.0, 1.5, TWO_SLIT)
-            assert p.sigma[i] == pytest.approx(v, rel=5e-14)
+            t = float(th[i])
+            q2 = 2.0 * k * k * (1.0 - math.cos(t))
+            v2 = 0.25 * math.exp(-0.5 * q2) * 4.0 * math.cos(2.0 * k * math.sin(t)) ** 2
+            assert p.sigma[i] == pytest.approx(2.0 * math.pi * 4.0 / k * v2, rel=5e-14)
 
     def test_metadata_records_engine(self):
         th = np.linspace(-1.0, 1.0, 5)

@@ -2,14 +2,18 @@
 
 import json
 import math
+import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from rotor_scatter import specfun
 from rotor_scatter.cli import main
 from rotor_scatter.model import MAX_THETA_STEPS, ScanSpec
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -195,6 +199,25 @@ class TestSweep:
         assert "scan.k" in capsys.readouterr().err
 
 
+    def test_closed_two_gaussian_without_arm_matches_general(self, tmp_path, capsys):
+        # alpha = 0 leaves only the elastic channel, J_0(0) = 1
+        doc = json.loads((CONFIGS / "fig2_d6.json").read_text())
+        doc["molecule"]["alpha"] = 0.0
+        sigma = {}
+        for engine in ("closed_two_gaussian", "general"):
+            doc["engine"]["variant"] = engine
+            cfg = write_config(tmp_path, doc, name=f"{engine}.json")
+            assert main(["sweep", "--config", cfg, "--out", str(tmp_path / engine),
+                         "--format", "csv"]) == 0
+            run_dir = run_dir_from(capsys)
+            sigma[engine] = np.loadtxt(f"{run_dir}/sweep.csv", delimiter=",",
+                                       skiprows=1)[:, 1:]
+        want = sigma["general"]
+        assert want.shape == (801, 5)
+        worst = np.abs(sigma["closed_two_gaussian"] - want).max(axis=0)
+        assert (worst <= 1e-12 * want.max(axis=0)).all()
+
+
 class TestCompare:
     def test_fig4_suppression(self, tmp_path, capsys):
         cfg = write_config(tmp_path, fig4_doc())
@@ -260,6 +283,18 @@ class TestValidate:
         doc = json.load(open(f"{run_dir}/validate.json"))
         assert doc["all_passed"] is True
         assert len(doc["checks"]) == 4
+
+    def test_full_battery_writes_csv_and_json(self, tmp_path, capsys):
+        assert main(["validate", "--out", str(tmp_path),
+                     "--format", "csv,json"]) == 0
+        run_dir = run_dir_from(capsys)
+        doc = json.load(open(f"{run_dir}/validate.json"))
+        assert doc["all_passed"] is True
+        assert len(doc["checks"]) == 17
+        assert all(type(c["passed"]) is bool and c["passed"] for c in doc["checks"])
+        lines = open(f"{run_dir}/validate.csv", encoding="utf-8").read().splitlines()
+        assert lines[0] == "name,worst,tol,passed"
+        assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ["true"] * 17
 
     def test_broken_build_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(specfun, "bessel_j", lambda n, x: 0.25)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from rotor_scatter.kinematics import (
     Channel,
-    geometry,
     geometry_grid,
     open_channels,
     outgoing_wavenumber,
@@ -140,29 +139,69 @@ class TestOpenChannels:
         assert len(chans) == 2 * math.floor(prod) + 1
 
 
+def geometry(k, kappa, theta):
+    """(q_x, q_y, |q|) at one angle, from a one-element grid."""
+    q_x, q_y, q_mag = geometry_grid(k, kappa, np.array([theta]))
+    return q_x[0], q_y[0], q_mag[0]
+
+
+def even_channels_reference(k, alpha):
+    """The closed engines' former channel rule, with its own l_max: signed
+    even l' with an open outgoing wavenumber, ascending."""
+    mol = Molecule(atom_mass=1.0, half_separation=alpha)
+    l_max = int(math.floor(math.sqrt((k * alpha) ** 2))) + 1
+    if l_max % 2 == 1:
+        l_max += 1
+    out = []
+    for l_out in range(-l_max, l_max + 1, 2):
+        kappa = outgoing_wavenumber(k, 0, l_out, mol)
+        if kappa is not None:
+            out.append((l_out, kappa))
+    return out
+
+
+class TestClosedEngineChannels:
+    def test_open_channels_reproduce_even_rule_bit_for_bit(self):
+        # exact thresholds k*alpha = l' and their float neighbours, plus a
+        # plain (k, alpha) grid; the closed engines enumerate through
+        # open_channels, which must give the same (l', kappa) list
+        cases = []
+        for alpha in (0.05, 0.3, 0.61, 1.0, 1.7, 2.5, 7.0):
+            for l in range(1, 41):
+                k = l / alpha
+                cases += [(k, alpha), (math.nextafter(k, 0.0), alpha),
+                          (math.nextafter(k, math.inf), alpha)]
+        cases += [(float(k), float(a)) for k in np.linspace(0.1, 30.0, 23)
+                  for a in np.linspace(0.02, 3.0, 23)]
+        for k, alpha in cases:
+            beam = IncidentBeam(wavenumber=k, amplitudes={0: 1.0})
+            mol = Molecule(atom_mass=1.0, half_separation=alpha)
+            got = [(c.l_out, c.kappa)
+                   for c in open_channels(beam, mol, parity_only=True)]
+            assert got == even_channels_reference(k, alpha), (k, alpha)
+
+
 class TestGeometry:
+    # the phase angle mu is formed only in born.matrix_element; its
+    # convention is tested there (TestMatrixElement)
+
     def test_side_scattering(self):
-        g = geometry(1.0, 1.0, math.pi / 2)
-        assert g.q_x == -1.0
-        assert g.q_y == pytest.approx(1.0, abs=1e-15)
-        assert g.q_mag == pytest.approx(math.sqrt(2.0), rel=1e-15)
-        assert g.mu == pytest.approx(3 * math.pi / 4, rel=1e-15)
+        q_x, q_y, q_mag = geometry(1.0, 1.0, math.pi / 2)
+        assert q_x == -1.0
+        assert q_y == pytest.approx(1.0, abs=1e-15)
+        assert q_mag == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
     def test_back_scattering(self):
-        g = geometry(1.0, 1.0, math.pi)
-        assert g.q_mag == pytest.approx(2.0, rel=1e-15)
-        assert g.mu == pytest.approx(math.pi, rel=1e-12)
+        _, _, q_mag = geometry(1.0, 1.0, math.pi)
+        assert q_mag == pytest.approx(2.0, rel=1e-15)
 
     def test_forward_elastic_is_degenerate(self):
-        g = geometry(2.0, 2.0, 0.0)
-        assert g.q_mag == 0.0
-        assert g.mu == 0.0
+        assert geometry(2.0, 2.0, 0.0)[2] == 0.0
 
     def test_forward_inelastic(self):
         # straight ahead with kappa < k: momentum transfer points along -y
-        g = geometry(2.0, 1.0, 0.0)
-        assert g.q_x == 0.0 and g.q_y == 1.0
-        assert g.mu == pytest.approx(math.pi)
+        q_x, q_y, _ = geometry(2.0, 1.0, 0.0)
+        assert q_x == 0.0 and q_y == 1.0
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -171,21 +210,24 @@ class TestGeometry:
             geometry(1.0, -0.5, 0.1)
 
     @given(k=st.floats(0.1, 20.0), kappa=st.floats(0.0, 20.0),
-           theta=st.floats(-math.pi, math.pi))
+           thetas=st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=20))
     @settings(deadline=None)
-    def test_law_of_cosines(self, k, kappa, theta):
-        g = geometry(k, kappa, theta)
-        expect = k * k + kappa * kappa - 2 * k * kappa * math.cos(theta)
-        assert g.q_mag ** 2 == pytest.approx(expect, rel=1e-12, abs=1e-12)
+    def test_law_of_cosines(self, k, kappa, thetas):
+        thetas = np.array(thetas)
+        _, _, q_mag = geometry_grid(k, kappa, thetas)
+        expect = k * k + kappa * kappa - 2 * k * kappa * np.cos(thetas)
+        assert q_mag ** 2 == pytest.approx(expect, rel=1e-12, abs=1e-12)
 
     def test_grid_matches_scalar_bit_for_bit(self):
+        # the scalar formula with libm trig, value by value
         thetas = np.linspace(-1.5, 1.5, 201)
         qx, qy, qm = geometry_grid(2.0, 1.2, thetas)
-        for i, t in enumerate(thetas):
-            g = geometry(2.0, 1.2, float(t))
-            assert qx[i] == g.q_x
-            assert qy[i] == g.q_y
-            assert qm[i] == g.q_mag
+        for i, t in enumerate(thetas.tolist()):
+            q_x = -1.2 * math.sin(t)
+            q_y = 2.0 - 1.2 * math.cos(t)
+            assert qx[i] == q_x
+            assert qy[i] == q_y
+            assert qm[i] == math.sqrt(q_x * q_x + q_y * q_y)
 
 
 class TestChannel:

@@ -1,14 +1,12 @@
 """Independent quadrature oracles and their architectural isolation."""
 
 import ast
-import cmath
 import math
 import pathlib
 
 import pytest
 
-from rotor_scatter import specfun
-from rotor_scatter.kinematics import geometry
+from rotor_scatter.born import matrix_element
 from rotor_scatter.model import GAUSSIAN, POLYNOMIAL_GAUSSIAN, Molecule, Peak, PeakShape, PotentialSpec
 from rotor_scatter.oracle import (
     NODE_CAP,
@@ -17,7 +15,7 @@ from rotor_scatter.oracle import (
     ft_numeric,
     matrix_element_quadrature,
 )
-from rotor_scatter.potentials import ft_peak, ft_total
+from rotor_scatter.potentials import ft_peak
 
 
 GAUSS11 = PeakShape(variant=GAUSSIAN, strength=1.0, width=1.0)
@@ -53,14 +51,12 @@ class TestMatrixElementQuadrature:
         assert abs(me) < 1e-13
 
     def test_matches_analytic_form(self):
-        # independent reassembly: phase * bessel * transform / pi
+        # the engine's amplitude: phase * bessel * transform / pi
         mol = Molecule(atom_mass=1.0, half_separation=1.1)
         k, theta, kappa = 1.0, math.pi / 2, 1.0
         for n in (0, 2, -4):
             me = matrix_element_quadrature(TWO_SLIT, mol, k, theta, n, 0, kappa)
-            g = geometry(k, kappa, theta)
-            expect = (cmath.exp(-1j * n * g.mu) * specfun.bessel_j(n, mol.half_separation * g.q_mag)
-                      * ft_total(TWO_SLIT, g.q_x, g.q_y) / math.pi)
+            expect = matrix_element(TWO_SLIT, mol, k, theta, n, 0, kappa)
             assert me == pytest.approx(expect, rel=1e-10, abs=1e-13)
 
     def test_polynomial_peak_channel(self):
@@ -69,9 +65,7 @@ class TestMatrixElementQuadrature:
         mol = Molecule(atom_mass=1.0, half_separation=0.9)
         k, theta, kappa = 2.0, 0.4, 1.6
         me = matrix_element_quadrature(spec, mol, k, theta, 2, 0, kappa)
-        g = geometry(k, kappa, theta)
-        expect = (cmath.exp(-2j * g.mu) * specfun.bessel_j(2, 0.9 * g.q_mag)
-                  * ft_total(spec, g.q_x, g.q_y) / math.pi)
+        expect = matrix_element(spec, mol, k, theta, 2, 0, kappa)
         assert me == pytest.approx(expect, rel=1e-10, abs=1e-13)
 
     def test_start_resolution_does_not_matter(self):

@@ -267,6 +267,21 @@ class TestWritersMatchPerValueReference:
         assert emit_json(doc, indent=2) == ref_emit_json(doc, indent=2)
         assert json.loads(emit_json(doc))["floats"] == EDGE_VALUES
 
+    @pytest.mark.parametrize("n", [0, 1, _BLOCK_ROWS + 1])
+    def test_float_array_writes_as_its_list(self, n):
+        # the CLI passes its 1-D float64 arrays straight to emit_json
+        col = edge_column(n)
+        doc = {"sigma": col, "columns": [col, col[::-1]], "k": [1.0]}
+        as_lists = {"sigma": col.tolist(),
+                    "columns": [col.tolist(), col[::-1].tolist()], "k": [1.0]}
+        assert emit_json(doc) == ref_emit_json(as_lists)
+        assert emit_json(doc, indent=2) == ref_emit_json(as_lists, indent=2)
+
+    def test_other_arrays_still_rejected(self):
+        for arr in (np.zeros((2, 2)), np.arange(3), np.zeros(3, dtype=np.float32)):
+            with pytest.raises(TypeError):
+                emit_json({"a": arr})
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_anywhere_rejected(self, bad):
         rows = _BLOCK_ROWS + 1
@@ -280,6 +295,10 @@ class TestWritersMatchPerValueReference:
                 emit_json({"sigma": col.tolist()})
             with pytest.raises(ValueError, match=message):
                 emit_json([[1.0, 2], col.tolist()])
+            with pytest.raises(ValueError, match=message):
+                emit_json({"sigma": col})
+            with pytest.raises(ValueError, match=message):
+                emit_json([[1.0, 2], col])
 
 
 def ref_svg_points(xs, ys, x_range, y_range):

@@ -10,14 +10,21 @@ from hypothesis import strategies as st
 
 from rotor_scatter.model import GAUSSIAN, POLYNOMIAL_GAUSSIAN, Peak, PeakShape, PotentialSpec
 from rotor_scatter.potentials import (
-    dirichlet_amplitude,
     dirichlet_amplitude_grid,
     ft_peak,
-    ft_peak_grid,
-    ft_total,
     ft_total_grid,
     make_grating,
 )
+
+
+def ft_total(spec, q_x, q_y):
+    """Whole-potential transform at one q, from a one-element grid."""
+    re, im = ft_total_grid(spec, np.array([q_x]), np.array([q_y]))
+    return complex(re[0], im[0])
+
+
+def dirichlet_amplitude(x, half_count):
+    return float(dirichlet_amplitude_grid(np.array([x]), half_count)[0])
 
 
 GAUSS11 = PeakShape(variant=GAUSSIAN, strength=1.0, width=1.0)
@@ -45,13 +52,18 @@ class TestFtPeak:
             assert ratio == pytest.approx(0.25 * q * q, rel=1e-14)
 
     def test_grid_matches_scalar(self):
-        # libm exp and the numpy vector exp may round one ulp apart
+        # the closed forms with libm exp, value by value; libm exp and the
+        # numpy vector exp may round one ulp apart
         qs = np.linspace(0.0, 12.0, 257)
         for shape in (GAUSS11, POLY11, PeakShape(variant=GAUSSIAN, strength=-0.7, width=1.8)):
-            vals = ft_peak_grid(shape, qs)
-            for i, q in enumerate(qs):
-                assert vals[i] == pytest.approx(ft_peak(shape, float(q)),
-                                                rel=5e-16, abs=0.0)
+            vals = ft_peak(shape, qs)
+            for i, q in enumerate(qs.tolist()):
+                t = q * shape.width
+                f = 0.5 * shape.strength * shape.width ** 2 * math.exp(-0.25 * t * t)
+                if shape.variant == POLYNOMIAL_GAUSSIAN:
+                    f *= 0.25 * t * t
+                assert vals[i] == pytest.approx(f, rel=5e-16, abs=0.0)
+                assert ft_peak(shape, q) == pytest.approx(f, rel=5e-16, abs=0.0)
 
 
 class TestFtTotal:
@@ -91,15 +103,19 @@ class TestFtTotal:
         assert w.real == v.real and w.imag == -v.imag
 
     def test_grid_matches_scalar_closely(self):
+        # against the exactly rounded (fsum) sum of the per-peak closed forms
         spec = PotentialSpec(peaks=(Peak(2.0, GAUSS11), Peak(-2.0, GAUSS11),
                                     Peak(0.5, POLY11)))
         qx = np.linspace(-3.0, 3.0, 101)
         qy = np.linspace(0.0, 2.0, 101)
         re, im = ft_total_grid(spec, qx, qy)
-        for i in range(101):
-            v = ft_total(spec, float(qx[i]), float(qy[i]))
-            assert re[i] == pytest.approx(v.real, rel=5e-15, abs=1e-18)
-            assert im[i] == pytest.approx(v.imag, rel=5e-15, abs=1e-18)
+        for i, (x, y) in enumerate(zip(qx.tolist(), qy.tolist())):
+            q = math.hypot(x, y)
+            terms = [(float(ft_peak(p.shape, q)), x * p.center_x) for p in spec.peaks]
+            assert re[i] == pytest.approx(math.fsum(f * math.cos(a) for f, a in terms),
+                                          rel=5e-15, abs=1e-18)
+            assert im[i] == pytest.approx(math.fsum(-f * math.sin(a) for f, a in terms),
+                                          rel=5e-15, abs=1e-18)
 
     def test_grid_order_invariant_bits(self):
         peaks = [Peak(c, GAUSS11) for c in (-3.0, -1.0, 0.5, 2.0)]
@@ -150,14 +166,17 @@ class TestDirichletAmplitude:
         assert abs(d) <= (2 * n + 1) * (1 + 1e-12)
 
     def test_grid_matches_scalar_bit_for_bit(self):
+        # each element takes its own branch (ratio, reduced ratio, series):
+        # one-element calls give the same bits as the whole grid
         xs = np.concatenate([
             np.linspace(-15.0, 15.0, 401),
             np.array([0.0, 2 * math.pi, 2 * math.pi + 1e-9, -4 * math.pi + 3e-9]),
         ])
         for n in (0, 1, 3, 10):
             grid = dirichlet_amplitude_grid(xs, n)
-            for i, x in enumerate(xs):
-                assert grid[i] == dirichlet_amplitude(float(x), n)
+            for i, x in enumerate(xs.tolist()):
+                assert grid[i] == dirichlet_amplitude(x, n)
+            assert grid[-4] == 2 * n + 1
 
 
 class TestGratingFactorization:
