@@ -22,6 +22,7 @@ __all__ = [
     "visibility",
     "peak_spacing",
     "suppression_ratio",
+    "visibility_ratio",
     "fringe_window",
     "fringe_report",
 ]
@@ -146,16 +147,22 @@ def fringe_window(reference: CrossSectionProfile) -> Tuple[float, float]:
     return lo, hi
 
 
+def visibility_ratio(vis_with: float, vis_without: float) -> float:
+    """Suppression ratio from the structured target's and its point-particle
+    twin's visibilities over one window."""
+    if vis_without == 0.0:
+        raise UndefinedRatioError(
+            "reference profile has zero visibility, ratio is undefined")
+    return vis_with / vis_without
+
+
 def suppression_ratio(with_internal: CrossSectionProfile,
                       without: CrossSectionProfile, window) -> float:
     """Visibility of the structured target over its point-particle twin."""
     if not np.array_equal(with_internal.thetas, without.thetas):
         raise AnalysisError("profiles are sampled on different theta grids")
-    baseline = visibility(without, window)
-    if baseline == 0.0:
-        raise UndefinedRatioError(
-            "reference profile has zero visibility, ratio is undefined")
-    return visibility(with_internal, window) / baseline
+    return visibility_ratio(visibility(with_internal, window),
+                            visibility(without, window))
 
 
 def fringe_report(profile: CrossSectionProfile, window) -> FringeReport:

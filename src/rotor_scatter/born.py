@@ -123,6 +123,21 @@ def _kahan_add(total, comp, term):
     return t, (t - total) - y
 
 
+def _key_groups(keys, size):
+    """The keys in runs of whole Bessel calls: at most specfun.BLOCK
+    arguments per call, size arguments per key, one key at least."""
+    step = max(1, specfun.BLOCK // max(1, size))
+    return [keys[i:i + step] for i in range(0, len(keys), step)]
+
+
+def _bessel_rows(orders, xs):
+    """J_n(x) for row i of xs at order orders[i], as rows, from one
+    specfun.bessel_j_grid call over all of xs. A value depends only on its
+    (n, x), so grouping changes no bit."""
+    values = specfun.bessel_j_grid(np.repeat(orders, xs.shape[1]), xs.ravel())
+    return values.reshape(xs.shape)
+
+
 def profile_general(thetas: np.ndarray, molecule: Molecule, beam: IncidentBeam,
                     spec: PotentialSpec) -> CrossSectionProfile:
     """Channel-summed profile; per-channel arrays accumulated in ascending
@@ -135,16 +150,19 @@ def profile_general(thetas: np.ndarray, molecule: Molecule, beam: IncidentBeam,
     per = {}
     v2_of = {}    # kappa -> |V(q)|^2
     bess_of = {}  # (kappa, |n|) -> J_n(alpha |q|); J_-n^2 == J_n^2 exactly
-    for ch in open_channels(beam, molecule, parity_only=True):
-        key = (ch.kappa, abs(ch.l_in - ch.l_out))
-        if key not in bess_of:
-            q_x, q_y, q_mag = geometry_grid(k, ch.kappa, thetas)
-            if ch.kappa not in v2_of:
+    channels = open_channels(beam, molecule, parity_only=True)
+    keys = list(dict.fromkeys((ch.kappa, abs(ch.l_in - ch.l_out)) for ch in channels))
+    for group in _key_groups(keys, thetas.size):
+        xs = np.empty((len(group), thetas.size))
+        for row, (kappa, _) in zip(xs, group):
+            q_x, q_y, q_mag = geometry_grid(k, kappa, thetas)
+            if kappa not in v2_of:
                 re, im = ft_total_grid(spec, q_x, q_y)
-                v2_of[ch.kappa] = re * re + im * im
-            bess_of[key] = specfun.bessel_j_grid(
-                key[1], molecule.half_separation * q_mag)
-        bess = bess_of[key]
+                v2_of[kappa] = re * re + im * im
+            np.multiply(molecule.half_separation, q_mag, out=row)
+        bess_of.update(zip(group, _bessel_rows([n for _, n in group], xs)))
+    for ch in channels:
+        bess = bess_of[(ch.kappa, abs(ch.l_in - ch.l_out))]
         term = (c * ch.weight / math.pi ** 2) * bess * bess * v2_of[ch.kappa]
         per[(ch.l_in, ch.l_out)] = term
         total, comp = _kahan_add(total, comp, term)
@@ -192,18 +210,25 @@ def profile_closed(variant: str, thetas: np.ndarray, *, mass: float, v0: float,
         total = np.zeros_like(thetas)
         comp = np.zeros_like(thetas)
         per = {}
-        by_order = {}  # (kappa, |l'|) -> (q_x, w, J_l', damp); J_-l'^2 == J_l'^2
+        by_order = {}  # (kappa, |l'|) -> (q_x, w, damp); J_-l'^2 == J_l'^2
+        bess_of = {}   # (kappa, |l'|) -> J_l'(alpha |q|)
         beam = IncidentBeam(wavenumber=k, amplitudes={0: 1.0})
         mol = Molecule(atom_mass=1.0, half_separation=alpha)
-        for ch in open_channels(beam, mol, parity_only=True):
-            l_out, kappa = ch.l_out, ch.kappa
-            key = (kappa, abs(l_out))
-            if key not in by_order:
-                q_x, q_y, q_mag = geometry_grid(k, kappa, thetas)
+        channels = open_channels(beam, mol, parity_only=True)
+        keys = list(dict.fromkeys((ch.kappa, abs(ch.l_out)) for ch in channels))
+        for group in _key_groups(keys, thetas.size):
+            xs = np.empty((len(group), thetas.size))
+            for row, key in zip(xs, group):
+                q_x, q_y, q_mag = geometry_grid(k, key[0], thetas)
                 w = (q_mag * delta) ** 2
-                by_order[key] = (q_x, w, specfun.bessel_j_grid(key[1], alpha * q_mag),
-                                 np.exp(-0.5 * w))
-            q_x, w, bess, damp = by_order[key]
+                by_order[key] = (q_x, w, np.exp(-0.5 * w))
+                np.multiply(alpha, q_mag, out=row)
+            bess_of.update(zip(group, _bessel_rows([n for _, n in group], xs)))
+        for ch in channels:
+            l_out = ch.l_out
+            key = (ch.kappa, abs(l_out))
+            q_x, w, damp = by_order[key]
+            bess = bess_of[key]
             if variant == "closed_two_gaussian":
                 c = np.cos(q_x * d)
                 term = 32.0 * base * damp * bess * bess * c * c

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import output, specfun
-from .analysis import AnalysisError, fringe_window, suppression_ratio, visibility
+from .analysis import AnalysisError, fringe_window, visibility, visibility_ratio
 from .born import (
     UnsupportedVariantError,
     profile_closed,
@@ -297,12 +297,14 @@ def cmd_compare(args) -> int:
     for k, pw, po in zip(k_values, with_profiles, without_profiles):
         # the comparison window is where the point-particle twin interferes
         window = fringe_window(po)
+        vis_with = visibility(pw, window)
+        vis_without = visibility(po, window)
         reports.append({
             "k": k,
             "window": [window[0], window[1]],
-            "visibility_with": visibility(pw, window),
-            "visibility_without": visibility(po, window),
-            "suppression_ratio": suppression_ratio(pw, po, window),
+            "visibility_with": vis_with,
+            "visibility_without": vis_without,
+            "suppression_ratio": visibility_ratio(vis_with, vis_without),
         })
 
     manifest = {"subcommand": "compare", "config": serialize_config(cfg),

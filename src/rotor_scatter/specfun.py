@@ -6,8 +6,12 @@ normalization against J_0 + 2*sum J_2m = 1, but the recurrence runs in
 compensated (double-double) arithmetic: a plain double recurrence loses
 about x*eps absolutely while marching through the oscillatory region,
 which is visible against the 1e-12 accuracy target already at x ~ 400.
-With the compensated carry the returned doubles are correctly rounded
-over the whole supported box (checked against 40-digit references).
+With the compensated carry the recurrence values equal the 40-digit
+references rounded to double at every point the tests check. Arguments
+below 1e-6 take the ascending series instead, which rounds once per
+factor of its product: within n + 1 roundings of the reference at order
+n, not correctly rounded (bessel_j(n, 1e-9) is 1 to 3 ulps off for
+n = 5..12).
 
 Exact zeros. U(x) is the smallest order with certified |J_U(x)| <
 1e-330, from |J_M(x)| <= B_M = (x/2)^M / M! (DLMF 10.14.4) and a
@@ -57,7 +61,9 @@ order, so each recurrence step touches only the elements already
 seeded, and an element's value is stored when the step reaches its
 order. bessel_j (one element) and bessel_j_batch (orders 0..n_max at
 one x) are calls into it, so a value does not depend on the entry point
-or on the other elements of the call.
+or on the other elements of the call. The recurrence runs the
+start-sorted elements in blocks of at most BLOCK, which bounds its work
+arrays; the blocks change no value for the same reason.
 """
 
 from __future__ import annotations
@@ -68,6 +74,10 @@ from dataclasses import dataclass
 import numpy as np
 
 ORDER_CAP = 20000
+# elements per recurrence block, which bounds the kernel's work arrays;
+# born groups its Bessel requests into calls of at most this many
+# elements (one key at least)
+BLOCK = 4096
 
 _SERIES_X = 1e-6
 _SEED = 1e-30
@@ -170,47 +180,58 @@ def _seed_orders(x: np.ndarray, n: np.ndarray, U: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# double-double primitives; plain arithmetic, so they run on floats and
-# numpy arrays alike
+# double-double primitives (Knuth's two-sum, Dekker's split and product),
+# written with out= ufuncs into arrays the caller owns
 
-def _two_sum(a, b):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _split(a):
-    t = _SPLIT * a
-    hi = t - (t - a)
-    return hi, a - hi
-
-
-def _two_prod(a, b):
-    p = a * b
-    ah, al = _split(a)
-    bh, bl = _split(b)
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+def _two_sum_to(a, b, s, e, t, u):
+    """s = fl(a + b) and e = (a + b) - s exactly. s aliases neither input;
+    e is written last and may alias either; t and u are scratch."""
+    np.add(a, b, out=s)
+    np.subtract(s, a, out=t)
+    np.subtract(s, t, out=u)
+    np.subtract(a, u, out=u)
+    np.subtract(b, t, out=t)
+    np.add(u, t, out=e)
 
 
-def _dd_add(xh, xl, yh, yl):
-    sh, sl = _two_sum(xh, yh)
-    sl = sl + (xl + yl)
-    return _two_sum(sh, sl)
+def _split_to(a, hi, lo, t):
+    """a = hi + lo exactly, each half with at most 26 significant bits."""
+    np.multiply(a, _SPLIT, out=t)
+    np.subtract(t, a, out=hi)
+    np.subtract(t, hi, out=hi)
+    np.subtract(a, hi, out=lo)
 
 
-def _dd_mul(xh, xl, yh, yl):
-    ph, pl = _two_prod(xh, yh)
-    pl = pl + (xh * yl + xl * yh)
-    return _two_sum(ph, pl)
+def _prod_err_to(ah, al, bh, bl, p, e, t):
+    """e = a*b - p exactly for p = fl(a*b), from the splits of a and b."""
+    np.multiply(ah, bh, out=e)
+    np.subtract(e, p, out=e)
+    np.multiply(ah, bl, out=t)
+    np.add(e, t, out=e)
+    np.multiply(al, bh, out=t)
+    np.add(e, t, out=e)
+    np.multiply(al, bl, out=t)
+    np.add(e, t, out=e)
 
 
-def _dd_div_out(xh, xl, yh, yl):
-    # quotient rounded to a single double, one Newton correction
-    q = xh / yh
-    th, tl = _two_prod(q, yh)
-    tl = tl + q * yl
-    rh, _ = _dd_add(xh, xl, -th, -tl)
-    return q + rh / yh
+def _dd_div_to(xh, xl, yh, yl, q, w):
+    """q = (xh + xl) / (yh + yl) rounded to one double: the double quotient
+    plus one Newton correction. w is nine scratch arrays."""
+    p, qh, ql, bh, bl, e, s, t, u = w
+    np.divide(xh, yh, out=q)
+    np.multiply(q, yh, out=p)
+    _split_to(q, qh, ql, t)
+    _split_to(yh, bh, bl, t)
+    _prod_err_to(qh, ql, bh, bl, p, e, t)
+    np.multiply(q, yl, out=t)
+    np.add(e, t, out=e)              # p + e = q*y to double-double
+    np.negative(p, out=p)
+    _two_sum_to(xh, p, s, p, t, u)
+    np.subtract(xl, e, out=e)
+    np.add(p, e, out=p)
+    np.add(s, p, out=s)              # the high part of x - q*y
+    np.divide(s, yh, out=s)
+    np.add(q, s, out=q)
 
 
 def bessel_j(n: int, x: float) -> float:
@@ -272,8 +293,11 @@ def bessel_j_grid(n, xs: np.ndarray) -> np.ndarray:
     if idx.size:
         starts = _seed_orders(xs[idx], m[idx], U)
         order = np.argsort(-starts, kind="stable")
-        idx = idx[order]
-        out[idx] = _miller_grid(m[idx], xs[idx], starts[order])
+        idx, starts = idx[order], starts[order]
+        del U, live, order  # the blocks' work arrays can take their memory
+        for lo in range(0, idx.size, BLOCK):
+            part = idx[lo:lo + BLOCK]
+            out[part] = _miller_grid(m[part], xs[part], starts[lo:lo + BLOCK])
 
     return np.where((ns < 0) & (ns % 2 != 0), -out, out)
 
@@ -283,68 +307,94 @@ def _miller_grid(ms: np.ndarray, x: np.ndarray, starts: np.ndarray) -> np.ndarra
     m) sorted descending.
 
     Step k touches only the prefix of elements seeded at orders >= k, and
-    stores the value of every element whose order is k.
+    stores the value of every element whose order is k. The work arrays
+    are allocated once; every step writes into prefix views of them. The
+    result is a view into them, for the caller to copy.
     """
     top = int(starts[0])
     active = np.searchsorted(-starts, -np.arange(top + 1), side="right")
     by_order = np.argsort(ms, kind="stable")
     orders, first = np.unique(ms[by_order], return_index=True)
     save_at = dict(zip(orders.tolist(), np.split(by_order, first[1:])))
-    inv_x = 1.0 / x
-    xh_s, xl_s = _split(x)  # x split is loop-invariant
-    jch = np.empty_like(x)
-    jcl = np.empty_like(x)
-    jph = np.empty_like(x)
-    jpl = np.empty_like(x)
-    sh = np.zeros_like(x)
-    sl = np.zeros_like(x)
-    events = np.zeros(x.shape, dtype=np.int64)
+    # rows 0-3: two (hi, lo) pairs, J_k at `cur` and J_{k+1} at 2 - cur;
+    # 4-5: the normalization sum; 6-9: 2k/x as (ch, cl) with the split
+    # of ch; 10-14: scratch; 15-17: 1/x and the split of x
+    work = np.empty((18, x.size))
+    work[4:6] = 0.0
+    np.divide(1.0, x, out=work[15])
+    _split_to(x, work[16], work[17], work[0])
+    events = np.zeros(x.shape, dtype=np.int32)  # rescales per element
     saved_h = np.empty_like(x)
     saved_l = np.empty_like(x)
-    saved_ev = np.zeros(x.shape, dtype=np.int64)
+    saved_ev = np.zeros(x.shape, dtype=np.int32)
+    cur = 0
     seeded = 0
     for k in range(top, -1, -1):
         c = int(active[k])
         if c > seeded:
-            jch[seeded:c] = _SEED
-            jcl[seeded:c] = 0.0
-            jph[seeded:c] = 0.0
-            jpl[seeded:c] = 0.0
+            work[cur, seeded:c] = _SEED
+            work[cur + 1, seeded:c] = 0.0
+            work[2 - cur:4 - cur, seeded:c] = 0.0
             seeded = c
+            v = list(work[:, :c])
+            sh, sl, ch, chh, chl, cl, a, b, t, u, y, inv_x, xh, xl = v[4:]
+            xc = x[:c]
+        jh, jl, ph, pl = v[cur], v[cur + 1], v[2 - cur], v[3 - cur]
         hit = save_at.get(k)
         if hit is not None:  # every element is seeded above its order
-            saved_h[hit] = jch[hit]
-            saved_l[hit] = jcl[hit]
+            saved_h[hit] = work[cur, hit]
+            saved_l[hit] = work[cur + 1, hit]
             saved_ev[hit] = events[hit]
+        if k % 2 == 0:  # the sum takes J_0 once and 2 J_k at even k > 0
+            dh, dl = jh, jl
+            if k > 0:
+                dh, dl = np.multiply(jh, 2.0, out=b), np.multiply(jl, 2.0, out=a)
+            _two_sum_to(sh, dh, ch, y, t, u)  # ch is free until the step
+            np.add(sl, dl, out=a)
+            np.add(y, a, out=y)
+            _two_sum_to(ch, y, sh, sl, t, u)
         if k == 0:
-            sh, sl = _dd_add(sh, sl, jch, jcl)
-        elif k % 2 == 0:
-            sh[:c], sl[:c] = _dd_add(sh[:c], sl[:c], 2.0 * jch[:c], 2.0 * jcl[:c])
-        if k > 0:
-            xc = x[:c]
-            ch = (2.0 * k) * inv_x[:c]
-            ph = ch * xc
-            chh, chl = _split(ch)
-            perr = ((chh * xh_s[:c] - ph) + chh * xl_s[:c] + chl * xh_s[:c]) \
-                + chl * xl_s[:c]
-            cl = ((2.0 * k - ph) - perr) / xc
-            mh, ml = _dd_mul(ch, cl, jch[:c], jcl[:c])
-            nh, nl = _dd_add(mh, ml, -jph[:c], -jpl[:c])
-            # the current pair becomes the previous one; the buffers swap
-            # whole, unseeded slots are overwritten when they are seeded
-            jph, jch = jch, jph
-            jpl, jcl = jcl, jpl
-            jch[:c] = nh
-            jcl[:c] = nl
-            resc = np.abs(nh) > _RESCALE
-            if resc.any():
-                f = np.where(resc, _RESCALE_INV, 1.0)
-                jch[:c] *= f
-                jcl[:c] *= f
-                jph[:c] *= f
-                jpl[:c] *= f
-                sh[:c] *= f
-                sl[:c] *= f
-                events[:c] += resc
-    shift = (-830 * (events - saved_ev)).astype(np.int64)
-    return _dd_div_out(np.ldexp(saved_h, shift), np.ldexp(saved_l, shift), sh, sl)
+            break
+        # (ch, cl) = 2k/x: ch = fl(2k * (1/x)), cl the rounded remainder
+        np.multiply(inv_x, 2.0 * k, out=ch)
+        np.multiply(ch, xc, out=y)
+        _split_to(ch, chh, chl, t)
+        _prod_err_to(chh, chl, xh, xl, y, a, b)
+        np.subtract(2.0 * k, y, out=b)
+        np.subtract(b, a, out=b)
+        np.divide(b, xc, out=cl)
+        # (chh, a) = (ch, cl) * J_k, reusing the split of ch, whose row
+        # is free once the product's error term is formed
+        np.multiply(ch, jh, out=y)
+        _split_to(jh, t, u, a)
+        _prod_err_to(chh, chl, t, u, y, a, b)
+        np.multiply(ch, jl, out=b)
+        np.multiply(cl, jh, out=t)
+        np.add(b, t, out=b)
+        np.add(a, b, out=a)
+        _two_sum_to(y, a, chh, a, t, u)
+        # J_{k-1} = (chh, a) - J_{k+1}, written over J_{k+1}, which becomes
+        # the current pair (unseeded slots are overwritten when seeded).
+        # Negated, not subtracted: the two-sum's error term needs
+        # (-ph) - bb, whose exact zero has another sign than -(ph + bb)
+        np.negative(ph, out=y)
+        _two_sum_to(chh, y, b, y, t, u)
+        np.subtract(a, pl, out=a)
+        np.add(y, a, out=y)
+        _two_sum_to(b, y, ph, pl, t, u)
+        cur = 2 - cur
+        jh, jl, ph, pl = ph, pl, jh, jl
+        np.abs(jh, out=t)
+        if t.max() > _RESCALE:
+            resc = t > _RESCALE
+            f = np.where(resc, _RESCALE_INV, 1.0)
+            for row in (jh, jl, ph, pl, sh, sl):
+                row *= f
+            events[:c] += resc
+    # replay the rescales each element saw after its value was saved
+    np.subtract(events, saved_ev, out=events)
+    np.multiply(events, -830, out=events)
+    np.ldexp(saved_h, events, out=saved_h)
+    np.ldexp(saved_l, events, out=saved_l)
+    _dd_div_to(saved_h, saved_l, work[4], work[5], work[0], work[6:15])
+    return work[0]

@@ -18,6 +18,7 @@ from rotor_scatter.analysis import (
     peak_spacing,
     suppression_ratio,
     visibility,
+    visibility_ratio,
 )
 from rotor_scatter.born import profile_closed
 from rotor_scatter.model import CrossSectionProfile
@@ -181,6 +182,13 @@ class TestSuppressionRatio:
         b = make_profile(th, np.exp(th))
         with pytest.raises(UndefinedRatioError):
             suppression_ratio(a, b, (-1.0, 1.0))
+
+    def test_ratio_of_computed_visibilities(self):
+        # the compare command forms the ratio from the two visibilities it
+        # already reports, with the same refusal of a flat baseline
+        assert visibility_ratio(0.25, 0.5) == 0.5
+        with pytest.raises(UndefinedRatioError, match="zero visibility"):
+            visibility_ratio(0.25, 0.0)
 
     def test_mixed_peaks_suppress_interference(self):
         # two unequal peaks excite distinguishable internal states; graded

@@ -3,9 +3,11 @@ metrics BENCHMARK.json declares.
 
 perfbench/run.py dies before its final JSON line when the package loses a
 name or keyword the harness calls, or raises outside the harness's
-guards. This runs the smallest workload once per mode, both modes at the
-same time, from the repository root; the runs rewrite the ignored
-.perfbench_out/results/figures_seed0_trace{0,1}.json records.
+guards. The smallest workload runs once per mode, both modes at the same
+time, and the Bessel-bound ladder once untraced, from the repository
+root; the runs rewrite the ignored
+.perfbench_out/results/{figures_seed0_trace0,figures_seed0_trace1,ladder_seed0_trace0}.json
+records.
 """
 
 import json
@@ -16,17 +18,28 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def test_figures_workload_prints_declared_metrics():
+def _start(workload, trace):
+    return subprocess.Popen(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", "0", "--seconds", "0", "--trace", str(trace)],
+        cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+
+def _check(proc, trace):
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    runs = {trace: subprocess.Popen(
-                [sys.executable, "perfbench/run.py", "--workload", "figures",
-                 "--seed", "0", "--seconds", "0", "--trace", str(trace)],
-                cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-            for trace in (0, 1)}
+    out, err = proc.communicate(timeout=170)
+    assert proc.returncode == 0, err
+    last = json.loads(out.strip().splitlines()[-1])
+    assert last["correct"] is True and last["failed"] == 0, out
+    want = declared["per_layer" if trace else "end_to_end"]
+    assert sorted(last["metrics"]) == sorted(m["name"] for m in want)
+
+
+def test_figures_workload_prints_declared_metrics():
+    runs = {trace: _start("figures", trace) for trace in (0, 1)}
     for trace, proc in runs.items():
-        out, err = proc.communicate(timeout=170)
-        assert proc.returncode == 0, err
-        last = json.loads(out.strip().splitlines()[-1])
-        assert last["correct"] is True and last["failed"] == 0, out
-        want = declared["per_layer" if trace else "end_to_end"]
-        assert sorted(last["metrics"]) == sorted(m["name"] for m in want)
+        _check(proc, trace)
+
+
+def test_ladder_workload_prints_declared_metrics():
+    _check(_start("ladder", 0), 0)

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -27,7 +28,8 @@ from rotor_scatter.model import (
     PotentialSpec,
 )
 from rotor_scatter.oracle import matrix_element_quadrature
-from rotor_scatter.potentials import make_grating
+from rotor_scatter.kinematics import geometry_grid, open_channels
+from rotor_scatter.potentials import ft_total_grid, make_grating
 
 
 def gauss(v0, delta):
@@ -362,23 +364,51 @@ class TestGridEngines:
 
     def test_mirror_channels_share_one_bessel_evaluation(self, monkeypatch):
         # an l = 0 beam opens (0, +l') and (0, -l') with the same kappa and
-        # J_-l'^2 == J_l'^2: one recurrence per |l'|, identical channel terms
-        calls = []
+        # J_-l'^2 == J_l'^2: each |l'| is evaluated once per angle, however
+        # the keys are grouped into calls, and the channel terms are equal
+        orders = []
         real = specfun.bessel_j_grid
 
         def counted(n, xs):
-            calls.append(n)
+            orders.extend(np.broadcast_to(n, xs.shape).tolist())
             return real(n, xs)
 
         monkeypatch.setattr(specfun, "bessel_j_grid", counted)
         th = np.linspace(-1.2, 1.2, 41)
+        once_each = {n: len(th) for n in (0, 2, 4, 6, 8)}  # l' = 10 is marginal, closed
         beam = IncidentBeam(wavenumber=10.0, amplitudes={0: 1.0})
         p = profile_general(th, UNIT_ROTOR, beam, TWO_SLIT)
-        assert sorted(calls) == [0, 2, 4, 6, 8]  # l' = 10 is marginal, closed
-        calls.clear()
+        assert Counter(orders) == once_each
+        orders.clear()
         c = profile_closed("closed_two_gaussian", th, mass=1.0, v0=1.0,
                            delta=1.0, k=10.0, alpha=1.0, d=2.0)
-        assert sorted(calls) == [0, 2, 4, 6, 8]
+        assert Counter(orders) == once_each
         for prof in (p, c):
             for (l_in, l_out), arr in prof.per_channel.items():
                 assert np.array_equal(arr, prof.per_channel[(l_in, -l_out)])
+
+    def test_grouped_bessel_calls_keep_every_channel_bit(self, monkeypatch):
+        # at k alpha = 30 the distinct (kappa, |l'|) keys fill several
+        # grouped Bessel calls; every channel term has the bits of the one
+        # built from a per-key call
+        sizes = []
+        real = specfun.bessel_j_grid
+
+        def counted(n, xs):
+            sizes.append(xs.size)
+            return real(n, xs)
+
+        monkeypatch.setattr(specfun, "bessel_j_grid", counted)
+        th = np.linspace(-1.5, 1.5, 1001)
+        k = 30.0
+        beam = IncidentBeam(wavenumber=k, amplitudes={0: 1.0})
+        p = profile_general(th, UNIT_ROTOR, beam, TWO_SLIT)
+        assert len(sizes) > 1 and max(sizes) <= specfun.BLOCK
+        assert sum(sizes) < len(p.per_channel) * th.size  # mirrors shared
+        c = born._rotor_prefactor(UNIT_ROTOR.atom_mass, k)
+        for ch in open_channels(beam, UNIT_ROTOR, parity_only=True):
+            q_x, q_y, q_mag = geometry_grid(k, ch.kappa, th)
+            re, im = ft_total_grid(TWO_SLIT, q_x, q_y)
+            bess = real(abs(ch.l_out), UNIT_ROTOR.half_separation * q_mag)
+            term = (c * ch.weight / math.pi ** 2) * bess * bess * (re * re + im * im)
+            assert np.array_equal(p.per_channel[(ch.l_in, ch.l_out)], term)

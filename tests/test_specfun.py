@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rotor_scatter.specfun import (
+    BLOCK,
     ORDER_CAP,
     BesselOrderRange,
     _seed_orders,
@@ -77,6 +78,26 @@ def test_grid_matches_scalar_bitwise():
         for x, v in zip(xs.tolist(), grid.tolist()):
             assert matches_reference(n, x, v), (n, x)
             assert v == bessel_j(n, x)
+
+
+def test_grouped_call_matches_per_key_calls_bitwise():
+    # born evaluates a profile's (kappa, |l'|) keys as one call over their
+    # concatenated arguments. This group crosses a recurrence block
+    # boundary and mixes series and Miller elements, negative orders, and
+    # elements that rescale (order 150 at x < 3, order 2001 at x ~ 1000);
+    # every value keeps the bits of its own per-key call
+    rng = np.random.default_rng(7)
+    size = BLOCK // 3 + 5
+    keys = [(0, rng.uniform(0.0, 40.0, size)),
+            (-3, np.concatenate([rng.uniform(0.0, 2e-6, size // 2),
+                                 rng.uniform(0.0, 5.0, size - size // 2)])),
+            (150, rng.uniform(0.5, 3.0, size)),
+            (-2001, rng.uniform(900.0, 1500.0, size))]
+    orders = np.repeat([n for n, _ in keys], size)
+    grouped = bessel_j_grid(orders, np.concatenate([x for _, x in keys]))
+    per_key = np.concatenate([bessel_j_grid(n, x) for n, x in keys])
+    assert grouped.size > BLOCK
+    assert np.array_equal(grouped.view(np.int64), per_key.view(np.int64))
 
 
 def test_against_high_precision_reference():
