@@ -31,12 +31,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from rotor_scatter.specfun import (
-    BesselOrderRange,
-    _start_orders,
-    bessel_j_batch,
-    bessel_j_grid,
-)
+from rotor_scatter.specfun import _start_orders, bessel_j_batch, bessel_j_grid
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 TARGET = ROOT / "tests" / "bessel_bits.json"
@@ -100,7 +95,7 @@ def main() -> int:
     for x, rows in by_x.items():
         if len(rows) < 2:
             continue
-        row = bessel_j_batch(BesselOrderRange(max(abs(n) for n, _ in rows)), x)
+        row = bessel_j_batch(max(abs(n) for n, _ in rows), x)
         for n, v in rows:
             b = -row[-n] if n < 0 and n % 2 else row[abs(n)]
             if b.hex() != v.hex():

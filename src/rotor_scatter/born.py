@@ -27,13 +27,9 @@ import math
 import numpy as np
 
 from . import specfun
-from .kinematics import (  # noqa: F401  (perfbench wraps born.outgoing_wavenumber)
-    Q_DEGENERATE,
-    geometry_grid,
-    open_channels,
-    outgoing_wavenumber,
-)
+from .kinematics import Q_DEGENERATE, geometry_grid, open_channels
 from .model import (
+    CLOSED_TWINS,
     CrossSectionProfile,
     IncidentBeam,
     Molecule,
@@ -93,12 +89,6 @@ def structureless_counterpart(molecule: Molecule, spec: PotentialSpec):
 # ---------------------------------------------------------------------------
 # closed forms
 
-_INTERNAL_VARIANTS = ("closed_two_gaussian", "closed_grating", "closed_mixed")
-_STRUCTURELESS_VARIANTS = ("closed_structureless_two_gaussian",
-                           "closed_structureless_grating",
-                           "closed_structureless_mixed")
-
-
 def _require(variant, **params):
     missing = [name for name, val in params.items() if val is None]
     if missing:
@@ -150,7 +140,7 @@ def profile_general(thetas: np.ndarray, molecule: Molecule, beam: IncidentBeam,
     per = {}
     v2_of = {}    # kappa -> |V(q)|^2
     bess_of = {}  # (kappa, |n|) -> J_n(alpha |q|); J_-n^2 == J_n^2 exactly
-    channels = open_channels(beam, molecule, parity_only=True)
+    channels = open_channels(beam, molecule)
     keys = list(dict.fromkeys((ch.kappa, abs(ch.l_in - ch.l_out)) for ch in channels))
     for group in _key_groups(keys, thetas.size):
         xs = np.empty((len(group), thetas.size))
@@ -184,26 +174,23 @@ def profile_structureless(thetas: np.ndarray, mass: float, k: float,
 
 def profile_closed(variant: str, thetas: np.ndarray, *, mass: float, v0: float,
                    delta: float, k: float, alpha: float | None = None,
-                   d: float | None = None, half_count: int | None = None,
-                   initial_l: int = 0) -> CrossSectionProfile:
+                   d: float | None = None,
+                   half_count: int | None = None) -> CrossSectionProfile:
     """Hand-derived cross section for one of the six special setups.
 
-    Internal-structure variants sum the open signed even l' channels of
-    open_channels; structureless variants evaluate at kappa = k. All
-    assume the beam starts in the l = 0 state. Built from the same
-    primitives as profile_general so the two can be compared tightly.
+    Internal-structure variants (the keys of CLOSED_TWINS) sum the open
+    channels of open_channels; their structureless twins evaluate at
+    kappa = k. All assume the beam starts in the l = 0 state. Built from
+    the same primitives as profile_general so the two can be compared
+    tightly.
     """
-    if initial_l != 0:
-        raise UnsupportedVariantError(
-            f"{variant} covers only a ground-state beam (the general engine "
-            "handles other initial states)")
     if k <= 0:
         raise ValueError("k must be > 0")
     thetas = np.asarray(thetas, dtype=float)
     base = math.pi * mass * mass * v0 * v0 * delta ** 4 / k
     meta = {"engine": variant, "k": k}
 
-    if variant in _INTERNAL_VARIANTS:
+    if variant in CLOSED_TWINS:
         _require(variant, alpha=alpha, d=d)
         if variant == "closed_grating":
             _require(variant, half_count=half_count)
@@ -214,7 +201,7 @@ def profile_closed(variant: str, thetas: np.ndarray, *, mass: float, v0: float,
         bess_of = {}   # (kappa, |l'|) -> J_l'(alpha |q|)
         beam = IncidentBeam(wavenumber=k, amplitudes={0: 1.0})
         mol = Molecule(atom_mass=1.0, half_separation=alpha)
-        channels = open_channels(beam, mol, parity_only=True)
+        channels = open_channels(beam, mol)
         keys = list(dict.fromkeys((ch.kappa, abs(ch.l_out)) for ch in channels))
         for group in _key_groups(keys, thetas.size):
             xs = np.empty((len(group), thetas.size))
@@ -243,7 +230,7 @@ def profile_closed(variant: str, thetas: np.ndarray, *, mass: float, v0: float,
         return CrossSectionProfile(thetas=thetas, sigma=total, per_channel=per,
                                    metadata=meta)
 
-    if variant in _STRUCTURELESS_VARIANTS:
+    if variant in CLOSED_TWINS.values():
         _require(variant, d=d)
         q_x, q_y, q_mag = geometry_grid(k, k, thetas)
         w = (q_mag * delta) ** 2

@@ -28,6 +28,7 @@ from .born import (
     structureless_counterpart,
 )
 from .model import (
+    CLOSED_TWINS,
     GAUSSIAN,
     POLYNOMIAL_GAUSSIAN,
     Config,
@@ -41,13 +42,6 @@ from .oracle import OracleConvergenceError
 from .validate import run_checks
 
 _FORMATS = ("csv", "json", "svg")
-
-_INTERNAL_TO_STRUCTURELESS = {
-    "general": None,  # handled by structureless_counterpart
-    "closed_two_gaussian": "closed_structureless_two_gaussian",
-    "closed_grating": "closed_structureless_grating",
-    "closed_mixed": "closed_structureless_mixed",
-}
 
 
 class CliError(Exception):
@@ -70,9 +64,8 @@ def build_parser() -> _Parser:
                                  "planar rotor off multi-peak potentials")
     sub = parser.add_subparsers(dest="subcommand", parser_class=_Parser)
 
-    def common(p, config_required=True):
-        if config_required:
-            p.add_argument("--config", required=True, help="JSON config file")
+    def common(p):
+        p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", required=True, help="output directory root")
         p.add_argument("--format", default="csv,json",
                        help="comma-separated subset of csv,json,svg")
@@ -176,9 +169,8 @@ def _profile_for_k(cfg: Config, thetas: np.ndarray, k: float) -> CrossSectionPro
         if variant == "structureless":
             return profile_structureless(thetas, cfg.molecule.atom_mass, k,
                                          cfg.potential)
-        params = _closed_params(cfg)
-        kwargs = dict(params)
-        if variant in ("closed_two_gaussian", "closed_grating", "closed_mixed"):
+        kwargs = _closed_params(cfg)
+        if variant in CLOSED_TWINS:
             kwargs["alpha"] = cfg.molecule.half_separation
         return profile_closed(variant, thetas, mass=cfg.molecule.atom_mass,
                               k=k, **kwargs)
@@ -190,7 +182,7 @@ def _counterpart_for_k(cfg: Config, thetas: np.ndarray, k: float) -> CrossSectio
         if variant == "general":
             mass2, spec2 = structureless_counterpart(cfg.molecule, cfg.potential)
             return profile_structureless(thetas, mass2, k, spec2)
-        return profile_closed(_INTERNAL_TO_STRUCTURELESS[variant], thetas,
+        return profile_closed(CLOSED_TWINS[variant], thetas,
                               mass=cfg.molecule.atom_mass, k=k,
                               **_closed_params(cfg))
 
@@ -223,8 +215,8 @@ def _profile_json_doc(p: CrossSectionProfile) -> dict:
         "metadata": dict(p.metadata),
     }
     if p.per_channel:
-        doc["channels"] = {f"sigma_{li}_{lo}": arr
-                           for (li, lo), arr in sorted(p.per_channel.items())}
+        doc["channels"] = {output.channel_label(key): arr
+                           for key, arr in sorted(p.per_channel.items())}
     return doc
 
 
@@ -282,7 +274,7 @@ def cmd_compare(args) -> int:
     cfg = _load_config(args.config)
     formats = _parse_formats(args.format)
     scan = _scan_or_fail(cfg)
-    if cfg.engine_variant not in _INTERNAL_TO_STRUCTURELESS:
+    if cfg.engine_variant not in ("general", *CLOSED_TWINS):
         raise CliError("compare needs an internal-structure engine "
                        "(general or a closed internal variant)", 1)
     k_values = scan.k_values or (cfg.beam.wavenumber,)
@@ -367,7 +359,7 @@ def cmd_bessel_table(args) -> int:
         raise CliError(f"--n-max must be in [0, {specfun.ORDER_CAP}]", 1)
     if not math.isfinite(args.x) or args.x < 0:
         raise CliError("--x must be finite and >= 0", 1)
-    values = specfun.bessel_j_batch(specfun.BesselOrderRange(args.n_max), args.x)
+    values = specfun.bessel_j_batch(args.n_max, args.x)
     manifest = {"subcommand": "bessel-table", "n_max": args.n_max,
                 "x": args.x, "formats": list(formats)}
     run_dir = _run_dir(args.out, "bessel-table", manifest)

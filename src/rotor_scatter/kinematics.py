@@ -2,10 +2,11 @@
 
 Energy bookkeeping: an incoming state (k, l_in) can scatter into (kappa,
 l_out) when k^2 + (l_in^2 - l_out^2)/alpha^2 > 0. Marginal channels with
-kappa exactly 0 carry no outgoing flux and are excluded. The
-channel-summed engine and the closed forms both enumerate channels with
-open_channels, so their channel sets always agree, including at
-threshold coincidences.
+kappa exactly 0 carry no outgoing flux and are excluded, and so are odd
+transfers l_in - l_out, whose amplitude vanishes for the rotor's two
+identical atoms. The channel-summed engine and the closed forms both
+enumerate channels with open_channels, so their channel sets always
+agree, including at threshold coincidences.
 """
 
 from __future__ import annotations
@@ -49,13 +50,10 @@ def outgoing_wavenumber(k: float, l_in: int, l_out: int,
     return math.sqrt(radicand)
 
 
-def open_channels(beam: IncidentBeam, molecule: Molecule,
-                  parity_only: bool = False) -> list[Channel]:
-    """Every energetically open (l_in, l_out) pair of the beam, sorted.
-
-    With parity_only the odd l_in - l_out pairs are dropped up front;
-    their amplitude vanishes identically for identical atoms.
-    """
+def open_channels(beam: IncidentBeam, molecule: Molecule) -> list[Channel]:
+    """Every energetically open (l_in, l_out) pair of the beam with an
+    even transfer l_in - l_out, sorted; odd transfers vanish identically
+    for identical atoms."""
     k = beam.wavenumber
     alpha = molecule.half_separation
     out = []
@@ -68,7 +66,7 @@ def open_channels(beam: IncidentBeam, molecule: Molecule,
         bound = math.sqrt(max(0.0, l_in * l_in + (k * alpha) ** 2))
         l_max = int(math.floor(bound)) + 1
         for l_out in range(-l_max, l_max + 1):
-            if parity_only and (l_in - l_out) % 2 != 0:
+            if (l_in - l_out) % 2 != 0:
                 continue
             kappa = outgoing_wavenumber(k, l_in, l_out, molecule)
             if kappa is not None:

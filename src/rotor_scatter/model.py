@@ -19,16 +19,17 @@ GAUSSIAN = "gaussian"
 POLYNOMIAL_GAUSSIAN = "polynomial_gaussian"
 PEAK_VARIANTS = (GAUSSIAN, POLYNOMIAL_GAUSSIAN)
 
-ENGINE_VARIANTS = (
-    "general",
-    "structureless",
-    "closed_two_gaussian",
-    "closed_grating",
-    "closed_mixed",
-    "closed_structureless_two_gaussian",
-    "closed_structureless_grating",
-    "closed_structureless_mixed",
-)
+# each closed internal-structure variant and its point-particle twin
+CLOSED_TWINS = {
+    "closed_two_gaussian": "closed_structureless_two_gaussian",
+    "closed_grating": "closed_structureless_grating",
+    "closed_mixed": "closed_structureless_mixed",
+}
+
+ENGINE_VARIANTS = ("general", "structureless", *CLOSED_TWINS,
+                   *CLOSED_TWINS.values())
+# engines that sum rotational channels with Bessel form factors
+_CHANNEL_ENGINES = ("general", *CLOSED_TWINS)
 
 # beam-norm policy: leave bits alone inside this band ...
 NORM_KEEP = 1e-12
@@ -39,10 +40,6 @@ _AMP_MAX = math.sqrt(1.0 + NORM_FIX)
 
 # theta grid cap, checked before the grid is allocated
 MAX_THETA_STEPS = 10**7
-
-# engines that sum rotational channels with Bessel form factors
-_CHANNEL_ENGINES = ("general", "closed_two_gaussian", "closed_grating",
-                    "closed_mixed")
 
 
 class ConfigError(Exception):

@@ -68,10 +68,10 @@ def fmt_table(values, sep: str = ",") -> str:
     return template % tuple(rows.ravel().tolist())
 
 
-def emit_json(value, indent: int = 0) -> str:
+def emit_json(value) -> str:
     """Canonical JSON: sorted keys, pinned float format, LF separators."""
     out: List[str] = []
-    _emit_json(value, indent, out)
+    _emit_json(value, 0, out)
     return "".join(out)
 
 
@@ -146,7 +146,8 @@ def manifest_hash(doc) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def _channel_label(key: Tuple[int, int]) -> str:
+def channel_label(key: Tuple[int, int]) -> str:
+    """Column name (CSV) and key (JSON) of the (l_in, l_out) channel."""
     return f"sigma_{key[0]}_{key[1]}"
 
 
@@ -166,7 +167,7 @@ def _csv_text(header: List[str], columns: Sequence) -> str:
 
 def profile_csv(profile: CrossSectionProfile) -> str:
     channels = sorted(profile.per_channel) if profile.per_channel else []
-    header = ["theta", "sigma"] + [_channel_label(c) for c in channels]
+    header = ["theta", "sigma"] + [channel_label(c) for c in channels]
     columns = [profile.thetas, profile.sigma]
     columns.extend(profile.per_channel[c] for c in channels)
     return _csv_text(header, columns)

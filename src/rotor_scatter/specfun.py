@@ -59,17 +59,17 @@ and rescaling by the exact power 2^-830 never rounds (pending rescales
 are replayed with ldexp at the end). Elements run in descending start
 order, so each recurrence step touches only the elements already
 seeded, and an element's value is stored when the step reaches its
-order. bessel_j (one element) and bessel_j_batch (orders 0..n_max at
-one x) are calls into it, so a value does not depend on the entry point
-or on the other elements of the call. The recurrence runs the
-start-sorted elements in blocks of at most BLOCK, which bounds its work
-arrays; the blocks change no value for the same reason.
+order. bessel_j(n, x) (one element) and bessel_j_batch(n_max, x)
+(orders 0..n_max at one x, n_max a plain int) are calls into it, so a
+value does not depend on the entry point or on the other elements of
+the call. The recurrence runs the start-sorted elements in blocks of at
+most BLOCK, which bounds its work arrays; the blocks change no value for
+the same reason.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,21 +88,6 @@ _SPLIT = 134217729.0  # 2^27 + 1, Dekker splitter
 _LOG_FLOOR = -760.0   # ln 1e-330, certifies underflow past U(x)
 _LOG_TOL = -84.0      # ln of the certified truncation error of a start
 _LN2 = math.log(2.0)
-
-
-@dataclass(frozen=True)
-class BesselOrderRange:
-    """Orders 0..n_max evaluated in one batch."""
-
-    n_max: int
-
-    def __post_init__(self):
-        if not isinstance(self.n_max, int) or isinstance(self.n_max, bool):
-            raise ValueError("n_max must be an integer")
-        if self.n_max < 0:
-            raise ValueError("n_max must be >= 0")
-        if self.n_max > ORDER_CAP:
-            raise ValueError(f"n_max exceeds the supported cap {ORDER_CAP}")
 
 
 def _logbound(m, lh):
@@ -239,11 +224,17 @@ def bessel_j(n: int, x: float) -> float:
     return float(bessel_j_grid(n, np.array([x], dtype=float))[0])
 
 
-def bessel_j_batch(order_range: BesselOrderRange, x: float) -> list[float]:
-    """[J_0(x), ..., J_n_max(x)], each value that of its bessel_j call."""
-    if not isinstance(order_range, BesselOrderRange):
-        order_range = BesselOrderRange(int(order_range))
-    orders = np.arange(order_range.n_max + 1)
+def bessel_j_batch(n_max: int, x: float) -> list[float]:
+    """[J_0(x), ..., J_n_max(x)], each value that of its bessel_j call.
+
+    Raises ValueError, before allocating anything, unless n_max is an int
+    (not a bool) in [0, ORDER_CAP].
+    """
+    if not isinstance(n_max, int) or isinstance(n_max, bool):
+        raise ValueError("n_max must be an integer")
+    if not 0 <= n_max <= ORDER_CAP:
+        raise ValueError(f"n_max must be in [0, {ORDER_CAP}]")
+    orders = np.arange(n_max + 1)
     return bessel_j_grid(orders, np.full(orders.size, x, dtype=float)).tolist()
 
 

@@ -205,10 +205,8 @@ def test_criterion_06_parity_and_threshold():
             kappa = outgoing_wavenumber(4.0, 0, l_out, mol)
             me = matrix_element(spec, mol, 4.0, theta, 0, l_out, kappa)
             worst = max(worst, abs(me))
-    at_threshold = open_channels(IncidentBeam(2.0, {0: 1.0}), mol,
-                                 parity_only=True)
-    above = open_channels(IncidentBeam(2.0 + 1e-9, {0: 1.0}), mol,
-                          parity_only=True)
+    at_threshold = open_channels(IncidentBeam(2.0, {0: 1.0}), mol)
+    above = open_channels(IncidentBeam(2.0 + 1e-9, {0: 1.0}), mol)
     pairs = {(c.l_in, c.l_out) for c in at_threshold}
     assert pairs == {(0, 0)}, f"marginal channel leaked in: {pairs}"
     assert {(c.l_in, c.l_out) for c in above} == {(0, 0), (0, 2), (0, -2)}
@@ -282,7 +280,7 @@ def test_criterion_10_bessel_battery():
     worst = 0.0
     for x in (1.0, 10.0, 100.0, 1000.0):
         n_max = int(x) + 60
-        js = specfun.bessel_j_batch(specfun.BesselOrderRange(n_max), x)
+        js = specfun.bessel_j_batch(n_max, x)
         total = js[0] ** 2 + 2.0 * math.fsum(j * j for j in js[1:])
         worst = max(worst, abs(total - 1.0))
     ns, xs = np.meshgrid(np.arange(1, 9), (0.0, 0.3, 1.5, 7.2, 40.1, 400.0))

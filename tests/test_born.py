@@ -71,7 +71,7 @@ def amplitude_sum(theta, molecule, beam, spec, amplitude=matrix_element):
     prefactor * |psi_l|^2 * |amplitude|^2 per open even channel."""
     c = (2.0 * math.pi) ** 3 * 4.0 * molecule.atom_mass ** 2 / beam.wavenumber
     per = {}
-    for ch in born.open_channels(beam, molecule, parity_only=True):
+    for ch in born.open_channels(beam, molecule):
         me = amplitude(spec, molecule, beam.wavenumber, theta, ch.l_in,
                        ch.l_out, ch.kappa)
         per[(ch.l_in, ch.l_out)] = c * ch.weight * abs(me) ** 2
@@ -195,11 +195,6 @@ class TestCrossSectionClosed:
             expect = 32 * math.pi * 1.5 ** 2 * 0.7 ** 2 * 1.2 ** 4 / 2.0 * (2 * n + 1) ** 2
             assert v == pytest.approx(expect, rel=1e-14)
 
-    def test_nonzero_initial_state_unsupported(self):
-        with pytest.raises(UnsupportedVariantError):
-            cross_section_closed("closed_two_gaussian", 0.0, mass=1, v0=1,
-                                 delta=1, k=1, alpha=1, d=2, initial_l=2)
-
     def test_missing_parameters_rejected(self):
         with pytest.raises(UnsupportedVariantError):
             cross_section_closed("closed_grating", 0.0, mass=1, v0=1,
@@ -288,7 +283,7 @@ class TestSpecializationEquivalence:
 
     def test_structureless_grating(self):
         # the closed form's own normalization: feeding quadrupled strengths
-        # at mass 2m reproduces it, see the decision record
+        # at mass 2m reproduces it, see ROADMAP item 3
         for n in (1, 3):
             spec = make_grating(n, 1.3, gauss(4.0, 1.0))
             assert self.check_structureless(
@@ -406,7 +401,7 @@ class TestGridEngines:
         assert len(sizes) > 1 and max(sizes) <= specfun.BLOCK
         assert sum(sizes) < len(p.per_channel) * th.size  # mirrors shared
         c = born._rotor_prefactor(UNIT_ROTOR.atom_mass, k)
-        for ch in open_channels(beam, UNIT_ROTOR, parity_only=True):
+        for ch in open_channels(beam, UNIT_ROTOR):
             q_x, q_y, q_mag = geometry_grid(k, ch.kappa, th)
             re, im = ft_total_grid(TWO_SLIT, q_x, q_y)
             bess = real(abs(ch.l_out), UNIT_ROTOR.half_separation * q_mag)

@@ -9,9 +9,10 @@ import sys
 import numpy as np
 import pytest
 
-from rotor_scatter import specfun
+from rotor_scatter import output, specfun
+from rotor_scatter.born import profile_closed
 from rotor_scatter.cli import main
-from rotor_scatter.model import MAX_THETA_STEPS, ScanSpec
+from rotor_scatter.model import CLOSED_TWINS, MAX_THETA_STEPS, ScanSpec
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -241,6 +242,39 @@ class TestCompare:
         doc = json.load(open(f"{run_dir}/compare.json"))
         assert doc["engine"] == "general"
         assert len(doc["reports"]) == 1
+
+    @pytest.mark.parametrize("variant, twin, kw", [
+        ("closed_two_gaussian", "closed_structureless_two_gaussian",
+         dict(v0=1.0, delta=1.0, d=2.0)),
+        ("closed_grating", "closed_structureless_grating",
+         dict(v0=1.0, delta=1.0, d=1.3, half_count=2)),
+        ("closed_mixed", "closed_structureless_mixed",
+         dict(v0=1.0, delta=1.5, d=4.0)),
+    ])
+    def test_closed_engine_routes_to_its_twin(self, tmp_path, capsys,
+                                              variant, twin, kw):
+        # both curves bit for bit from profile_closed at the config's
+        # parameters: the engine itself, then its structureless twin
+        assert CLOSED_TWINS[variant] == twin
+        doc = two_slit_doc(engine=variant, steps=121, k_list=(3.0, 4.0))
+        if variant == "closed_grating":
+            doc["potential"] = {"kind": "grating", "grating": {
+                "n": 2, "d": 1.3,
+                "shape": {"variant": "gaussian", "v0": 1.0, "delta": 1.0}}}
+        elif variant == "closed_mixed":
+            doc["potential"] = fig4_doc()["potential"]
+        cfg = write_config(tmp_path, doc)
+        assert main(["compare", "--config", cfg, "--out", str(tmp_path),
+                     "--format", "csv"]) == 0
+        run_dir = run_dir_from(capsys)
+        ks = doc["scan"]["k"]
+        thetas = ScanSpec(-1.2, 1.2, 121, ks).thetas()
+        for name, engine, extra in (("compare_with.csv", variant, {"alpha": 1.0}),
+                                    ("compare_without.csv", twin, {})):
+            want = output.sweep_csv(thetas, ks, [
+                profile_closed(engine, thetas, mass=1.0, k=k, **kw, **extra).sigma
+                for k in ks])
+            assert open(f"{run_dir}/{name}", encoding="utf-8").read() == want
 
     def test_structureless_engine_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, two_slit_doc(engine="structureless"))

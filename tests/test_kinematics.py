@@ -82,30 +82,24 @@ class TestOutgoingWavenumber:
 class TestOpenChannels:
     def test_single_elastic_channel(self):
         beam = IncidentBeam(wavenumber=1.0, amplitudes={0: 1.0})
-        chans = open_channels(beam, MOL, parity_only=True)
+        chans = open_channels(beam, MOL)
         assert [(c.l_in, c.l_out) for c in chans] == [(0, 0)]
         assert chans[0].kappa == 1.0 and chans[0].weight == 1.0
 
     def test_three_channels_at_k_2_5(self):
         beam = IncidentBeam(wavenumber=2.5, amplitudes={0: 1.0})
-        chans = open_channels(beam, MOL, parity_only=True)
+        chans = open_channels(beam, MOL)
         assert [(c.l_in, c.l_out) for c in chans] == [(0, -2), (0, 0), (0, 2)]
-
-    def test_parity_filter(self):
-        beam = IncidentBeam(wavenumber=2.5, amplitudes={0: 1.0})
-        full = open_channels(beam, MOL, parity_only=False)
-        assert [(c.l_in, c.l_out) for c in full] == [
-            (0, -2), (0, -1), (0, 0), (0, 1), (0, 2)]
 
     def test_exact_threshold_channel_absent(self):
         # k*alpha = 2 puts |l_out| = 2 exactly at threshold; it must not appear
         beam = IncidentBeam(wavenumber=2.0, amplitudes={0: 1.0})
-        chans = open_channels(beam, MOL, parity_only=True)
+        chans = open_channels(beam, MOL)
         assert [(c.l_in, c.l_out) for c in chans] == [(0, 0)]
 
     def test_weights_follow_amplitudes(self):
         beam = IncidentBeam(wavenumber=1.0, amplitudes={0: 0.6, 2: 0.8j})
-        chans = open_channels(beam, MOL, parity_only=True)
+        chans = open_channels(beam, MOL)
         w = {(c.l_in, c.l_out): c.weight for c in chans}
         # k*alpha = 1: from l=0 only elastic; from l=2 both l'=2 and the
         # energy-releasing l'=0 and l'=-2 are open
@@ -116,12 +110,12 @@ class TestOpenChannels:
     def test_point_particle_keeps_elastic_only(self):
         point = Molecule(atom_mass=1.0, half_separation=0.0)
         beam = IncidentBeam(wavenumber=3.0, amplitudes={0: 1.0})
-        chans = open_channels(beam, point, parity_only=True)
+        chans = open_channels(beam, point)
         assert [(c.l_in, c.l_out) for c in chans] == [(0, 0)]
 
     def test_sorted_by_channel_labels(self):
         beam = IncidentBeam(wavenumber=4.5, amplitudes={0: 0.6, 2: 0.8})
-        chans = open_channels(beam, MOL, parity_only=True)
+        chans = open_channels(beam, MOL)
         keys = [(c.l_in, c.l_out) for c in chans]
         assert keys == sorted(keys)
         assert len(keys) == len(set(keys))
@@ -129,14 +123,15 @@ class TestOpenChannels:
     @given(k=st.floats(0.3, 30.0), alpha=st.floats(0.1, 4.0))
     @settings(deadline=None, max_examples=60)
     def test_channel_count_matches_threshold_rule(self, k, alpha):
-        # open l' for a ground-state beam satisfy |l'| < k*alpha strictly
-        prod = k * alpha
-        if abs(prod - round(prod)) < 1e-9:
+        # open l' for a ground-state beam are the even ones with
+        # |l'| < k*alpha strictly
+        half = k * alpha / 2
+        if abs(half - round(half)) < 1e-9:
             return  # stay away from exact thresholds, covered separately
         beam = IncidentBeam(wavenumber=k, amplitudes={0: 1.0})
         mol = Molecule(atom_mass=1.0, half_separation=alpha)
-        chans = open_channels(beam, mol, parity_only=False)
-        assert len(chans) == 2 * math.floor(prod) + 1
+        chans = open_channels(beam, mol)
+        assert len(chans) == 2 * math.floor(half) + 1
 
 
 def geometry(k, kappa, theta):
@@ -177,7 +172,7 @@ class TestClosedEngineChannels:
             beam = IncidentBeam(wavenumber=k, amplitudes={0: 1.0})
             mol = Molecule(atom_mass=1.0, half_separation=alpha)
             got = [(c.l_out, c.kappa)
-                   for c in open_channels(beam, mol, parity_only=True)]
+                   for c in open_channels(beam, mol)]
             assert got == even_channels_reference(k, alpha), (k, alpha)
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from collections import defaultdict
 from pathlib import Path
 
@@ -11,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from rotor_scatter.specfun import (
     BLOCK,
     ORDER_CAP,
-    BesselOrderRange,
     _seed_orders,
     _start_orders,
     bessel_j,
@@ -49,7 +49,7 @@ def test_reflection_is_exact():
 
 
 def test_batch_trivial():
-    assert bessel_j_batch(BesselOrderRange(2), 0.0) == [1.0, 0.0, 0.0]
+    assert bessel_j_batch(2, 0.0) == [1.0, 0.0, 0.0]
 
 
 def matches_reference(n, x, got):
@@ -64,7 +64,7 @@ def matches_reference(n, x, got):
 
 def test_batch_matches_scalar_bitwise():
     for x in (0.0, 1e-9, 1e-4, 0.3, 1.0, 7.7, 42.0, 250.0):
-        row = bessel_j_batch(BesselOrderRange(12), x)
+        row = bessel_j_batch(12, x)
         assert len(row) == 13
         for n, v in enumerate(row):
             assert matches_reference(n, x, v), (n, x)
@@ -153,7 +153,7 @@ def test_batch_reproduces_frozen_bits():
     for x, entries in by_x.items():
         if len(entries) < 2:
             continue
-        row = bessel_j_batch(BesselOrderRange(max(abs(n) for n, _ in entries)), x)
+        row = bessel_j_batch(max(abs(n) for n, _ in entries), x)
         for n, v in entries:
             got = -row[-n] if n < 0 and n % 2 else row[abs(n)]
             if got.hex() != v:
@@ -173,7 +173,7 @@ def test_sum_of_squares_identity():
     # J_0^2 + 2 sum_{n>=1} J_n^2 = 1; tail below 1e-10 needs n_max ~ x + 50
     for x in (1.0, 10.0, 100.0, 1000.0):
         n_max = int(x) + 60
-        row = bessel_j_batch(BesselOrderRange(n_max), x)
+        row = bessel_j_batch(n_max, x)
         s = row[0] ** 2 + 2.0 * math.fsum(v * v for v in row[1:])
         assert abs(s - 1.0) <= 1e-10
 
@@ -216,7 +216,7 @@ def test_reflection_property(points):
     x=st.floats(min_value=0.0, max_value=300.0),
 )
 def test_batch_matches_reference_property(n_max, x):
-    row = bessel_j_batch(BesselOrderRange(n_max), x)
+    row = bessel_j_batch(n_max, x)
     for n in (0, n_max // 2, n_max):
         assert row[n] == pytest.approx(mp_ref(n, x), rel=1e-13, abs=1e-15)
 
@@ -230,8 +230,17 @@ def test_domain_errors():
         bessel_j(0, float("inf"))
     with pytest.raises(ValueError):
         bessel_j(ORDER_CAP + 1, 1.0)
-    with pytest.raises(ValueError):
-        BesselOrderRange(-1)
+    for bad_n_max in (-1, 2.0, True, ORDER_CAP + 1):
+        with pytest.raises(ValueError):
+            bessel_j_batch(bad_n_max, 1.0)
+    # refused before np.arange: 10**15 orders would be petabytes
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            bessel_j_batch(10**15, 1.0)
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
     with pytest.raises(ValueError):
         bessel_j_grid(2, np.array([1.0, -0.5]))
     with pytest.raises(ValueError):  # order array of the wrong shape
