@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Freeze the sha256 of every output file into tests/output_sha256.json.
 
-Runs the eight figure runs of scripts/regenerate_figures.py and one
+Runs the eight figure runs of scripts/regenerate_figures.py, one
 general-engine profile with per-channel columns (alpha = 1, k = 10, a
-Gaussian pair, 201 angles), all with --format csv,json,svg, and records
-the digest of every file they write: CSV, JSON, SVG and manifest. Keys
-are "<run dir>/<file name>", so the manifest hash in each run directory
-name is pinned too. The writers can then be rewritten and held to the
-same bytes. Run once on a trusted build, from the repository root:
+Gaussian pair, 201 angles) and one profile per closed variant at k = 5
+(the internal ones open 5 to 13 channels there), all with --format
+csv,json,svg, and records the digest of every file they write: CSV,
+JSON, SVG and manifest. Keys are "<run dir>/<file name>", so the
+manifest hash in each run directory name is pinned too. The writers and
+engines can then be rewritten and held to the same bytes. Run once on a
+trusted build, from the repository root:
 
     PYTHONPATH=src python scripts/freeze_output_bytes.py
 """
@@ -20,6 +22,7 @@ import tempfile
 
 from regenerate_figures import CONFIG_DIR, RUNS
 from rotor_scatter.cli import main as cli_main
+from rotor_scatter.model import CLOSED_TWINS
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 TARGET = ROOT / "tests" / "output_sha256.json"
@@ -37,6 +40,23 @@ CHANNEL_PROFILE = {
              "k": [10.0]},
 }
 
+# shipped config whose potential each closed variant's profile runs on
+CLOSED_POTENTIALS = {"two_gaussian": "fig2_d6", "grating": "fig3_n2",
+                     "mixed": "fig4"}
+CLOSED_K = 5.0
+
+
+def closed_profile_configs():
+    """{variant: config} for one profile per closed variant at CLOSED_K."""
+    configs = {}
+    for internal, twin in CLOSED_TWINS.items():
+        stem = CLOSED_POTENTIALS[internal.removeprefix("closed_")]
+        doc = json.loads((CONFIG_DIR / f"{stem}.json").read_text(encoding="utf-8"))
+        doc["beam"]["k"] = CLOSED_K
+        for variant in (internal, twin):
+            configs[variant] = dict(doc, engine={"variant": variant})
+    return configs
+
 
 def output_digests(out_root: pathlib.Path) -> dict:
     """Run every pinned invocation under out_root; sha256 per written file."""
@@ -45,6 +65,10 @@ def output_digests(out_root: pathlib.Path) -> dict:
     profile_config.write_text(json.dumps(CHANNEL_PROFILE), encoding="utf-8")
     runs = [(CONFIG_DIR / f"{stem}.json", sub) for stem, sub in RUNS]
     runs.append((profile_config, "profile"))
+    for variant, doc in closed_profile_configs().items():
+        config = out_root / f"{variant}.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        runs.append((config, "profile"))
     runs_root = out_root / "runs"
     for config, subcommand in runs:
         code = cli_main([subcommand, "--config", str(config),

@@ -21,6 +21,7 @@ __all__ = [
     "FringeReport",
     "visibility",
     "peak_spacing",
+    "require_samples",
     "suppression_ratio",
     "visibility_ratio",
     "fringe_window",
@@ -125,6 +126,19 @@ def peak_spacing(profile: CrossSectionProfile, near_theta: float, count: int) ->
     order = sorted(maxima, key=lambda i: (abs(profile.thetas[i] - near_theta), i))
     chosen = np.sort(profile.thetas[np.array(order[:count + 1])])
     return float(np.mean(np.diff(chosen)))
+
+
+def require_samples(thetas: np.ndarray, frequency: float) -> None:
+    """Refuse a uniform theta grid with fewer than 4 samples per period of
+    sigma's fastest angular frequency (phase radians per radian of theta),
+    the density alternating extrema need to be classified."""
+    span = float(thetas[-1] - thetas[0])
+    need = math.ceil(2.0 * frequency * span / math.pi) + 1
+    if thetas.size < need:
+        per_period = 2.0 * math.pi * (thetas.size - 1) / (frequency * span)
+        raise ResolutionError(
+            f"theta grid holds {per_period:.3g} samples per fringe period, "
+            f"need >= 4; use scan.theta.steps >= {need}")
 
 
 def fringe_window(reference: CrossSectionProfile) -> Tuple[float, float]:

@@ -8,7 +8,10 @@ two-atom rotor hitting a static multi-peak potential:
   * closed_*: hand-derived specializations for the standard
     configurations (two Gaussians, peak array, mixed pair), kept as
     independent formulas so the general engine can be checked against
-    them to high precision.
+    them to high precision. Each is one _PREFACTOR entry times one
+    angular factor; a closed_structureless_* twin is its internal variant
+    at alpha = 0 (one channel, kappa = k, J_0(0) = 1). The grating twin's
+    32 is 4x the 8 of the compare convention (ROADMAP item 3).
 
 Conventions: hbar = 1, beam along +y with wavenumber k, flux prefactor
 (2 pi)^3 * 4 m^2 / k for the rotor and 2 pi M^2 / k for the point
@@ -89,6 +92,15 @@ def structureless_counterpart(molecule: Molecule, spec: PotentialSpec):
 # ---------------------------------------------------------------------------
 # closed forms
 
+# sigma of each closed variant in units of pi m^2 v0^2 delta^4 / k
+_PREFACTOR = {
+    "closed_two_gaussian": 32.0, "closed_grating": 8.0, "closed_mixed": 8.0,
+    "closed_structureless_two_gaussian": 32.0,
+    "closed_structureless_grating": 32.0, "closed_structureless_mixed": 8.0,
+}
+_INTERNAL_OF = {twin: internal for internal, twin in CLOSED_TWINS.items()}
+
+
 def _require(variant, **params):
     missing = [name for name, val in params.items() if val is None]
     if missing:
@@ -96,67 +108,80 @@ def _require(variant, **params):
             f"{variant} needs parameters: {', '.join(sorted(missing))}")
 
 
-def _mixed_bracket(w, cos_term):
+def _times_angular(internal, acc, q_x, w, d, half_count):
+    """acc times the variant's angular factor, in the order the pinned
+    outputs were computed with: cos^2(q_x d), the Dirichlet amplitude
+    squared, or the mixed pair's bracket."""
+    if internal == "closed_grating":
+        dir_amp = dirichlet_amplitude_grid(q_x * d, half_count)
+        return acc * dir_amp * dir_amp
+    c = np.cos(q_x * d)
+    if internal == "closed_two_gaussian":
+        return acc * c * c
     # regrouped from 1 + w^2/16 + (w/2)cos(2 q_x d): the two-square form
     # mirrors |V|^2 = (sum)^2 cos^2 + (difference)^2 sin^2 of the pair,
     # so it stays accurate where the bracket is small
     half = 1.0 - 0.25 * w
-    return half * half + w * cos_term * cos_term
+    return acc * (half * half + w * c * c)
 
 
 # ---------------------------------------------------------------------------
 # engines over a theta grid
 
-def _kahan_add(total, comp, term):
-    y = term - comp
-    t = total + y
-    return t, (t - total) - y
+def _channel_sum(channels, k, alpha, thetas, at_kappa, term):
+    """(sigma, per-channel terms) over the open channels.
 
-
-def _key_groups(keys, size):
-    """The keys in runs of whole Bessel calls: at most specfun.BLOCK
-    arguments per call, size arguments per key, one key at least."""
-    step = max(1, specfun.BLOCK // max(1, size))
-    return [keys[i:i + step] for i in range(0, len(keys), step)]
-
-
-def _bessel_rows(orders, xs):
-    """J_n(x) for row i of xs at order orders[i], as rows, from one
-    specfun.bessel_j_grid call over all of xs. A value depends only on its
-    (n, x), so grouping changes no bit."""
-    values = specfun.bessel_j_grid(np.repeat(orders, xs.shape[1]), xs.ravel())
-    return values.reshape(xs.shape)
+    at_kappa(q_x, q_y, |q|) runs once per outgoing kappa and only its
+    result is kept. J_n(alpha |q|) is evaluated once per (kappa, |n|) key,
+    n = l_in - l_out (J_-n^2 == J_n^2 exactly), in specfun.bessel_j_grid
+    calls of at most specfun.BLOCK arguments and one key at least; a value
+    depends only on its (n, x), so grouping changes no bit. term(channel,
+    at_kappa result, J row) is summed in channel order with compensated
+    summation (bit-stable outputs).
+    """
+    keys = list(dict.fromkeys((ch.kappa, abs(ch.l_in - ch.l_out)) for ch in channels))
+    step = max(1, specfun.BLOCK // max(1, thetas.size))
+    at, bess = {}, {}
+    for start in range(0, len(keys), step):
+        group = keys[start:start + step]
+        xs = np.empty((len(group), thetas.size))
+        for row, (kappa, _) in zip(xs, group):
+            q_x, q_y, q_mag = geometry_grid(k, kappa, thetas)
+            if kappa not in at:
+                at[kappa] = at_kappa(q_x, q_y, q_mag)
+            np.multiply(alpha, q_mag, out=row)
+        orders = np.repeat([n for _, n in group], thetas.size)
+        rows = specfun.bessel_j_grid(orders, xs.ravel()).reshape(xs.shape)
+        bess.update(zip(group, rows))
+    total = np.zeros_like(thetas)
+    comp = np.zeros_like(thetas)
+    per = {}
+    for ch in channels:
+        t = term(ch, at[ch.kappa], bess[(ch.kappa, abs(ch.l_in - ch.l_out))])
+        per[(ch.l_in, ch.l_out)] = t
+        y = t - comp
+        s = total + y
+        total, comp = s, (s - total) - y
+    return total, per
 
 
 def profile_general(thetas: np.ndarray, molecule: Molecule, beam: IncidentBeam,
                     spec: PotentialSpec) -> CrossSectionProfile:
-    """Channel-summed profile; per-channel arrays accumulated in ascending
-    channel order with compensated summation (bit-stable outputs)."""
+    """Channel-summed profile with per-channel arrays."""
     thetas = np.asarray(thetas, dtype=float)
     k = beam.wavenumber
     c = _rotor_prefactor(molecule.atom_mass, k)
-    total = np.zeros_like(thetas)
-    comp = np.zeros_like(thetas)
-    per = {}
-    v2_of = {}    # kappa -> |V(q)|^2
-    bess_of = {}  # (kappa, |n|) -> J_n(alpha |q|); J_-n^2 == J_n^2 exactly
-    channels = open_channels(beam, molecule)
-    keys = list(dict.fromkeys((ch.kappa, abs(ch.l_in - ch.l_out)) for ch in channels))
-    for group in _key_groups(keys, thetas.size):
-        xs = np.empty((len(group), thetas.size))
-        for row, (kappa, _) in zip(xs, group):
-            q_x, q_y, q_mag = geometry_grid(k, kappa, thetas)
-            if kappa not in v2_of:
-                re, im = ft_total_grid(spec, q_x, q_y)
-                v2_of[kappa] = re * re + im * im
-            np.multiply(molecule.half_separation, q_mag, out=row)
-        bess_of.update(zip(group, _bessel_rows([n for _, n in group], xs)))
-    for ch in channels:
-        bess = bess_of[(ch.kappa, abs(ch.l_in - ch.l_out))]
-        term = (c * ch.weight / math.pi ** 2) * bess * bess * v2_of[ch.kappa]
-        per[(ch.l_in, ch.l_out)] = term
-        total, comp = _kahan_add(total, comp, term)
-    return CrossSectionProfile(thetas=thetas, sigma=total, per_channel=per,
+
+    def v2(q_x, q_y, q_mag):
+        re, im = ft_total_grid(spec, q_x, q_y)
+        return re * re + im * im
+
+    def term(ch, v2_k, bess):
+        return (c * ch.weight / math.pi ** 2) * bess * bess * v2_k
+
+    sigma, per = _channel_sum(open_channels(beam, molecule), k,
+                              molecule.half_separation, thetas, v2, term)
+    return CrossSectionProfile(thetas=thetas, sigma=sigma, per_channel=per,
                                metadata={"engine": "general", "k": k})
 
 
@@ -179,72 +204,38 @@ def profile_closed(variant: str, thetas: np.ndarray, *, mass: float, v0: float,
     """Hand-derived cross section for one of the six special setups.
 
     Internal-structure variants (the keys of CLOSED_TWINS) sum the open
-    channels of open_channels; their structureless twins evaluate at
-    kappa = k. All assume the beam starts in the l = 0 state. Built from
-    the same primitives as profile_general so the two can be compared
-    tightly.
+    channels of open_channels for an l = 0 beam. A structureless twin is
+    the same rotor at alpha = 0 (any alpha given is ignored) and returns
+    no per-channel arrays. Built from the same primitives as
+    profile_general so the two can be compared tightly.
     """
     if k <= 0:
         raise ValueError("k must be > 0")
+    internal = _INTERNAL_OF.get(variant, variant)
+    if internal not in CLOSED_TWINS:
+        raise UnsupportedVariantError(f"not a closed-form variant: {variant!r}")
+    twin = internal != variant
+    if twin:
+        alpha = 0.0
+    _require(variant, alpha=alpha, d=d)
+    if internal == "closed_grating":
+        _require(variant, half_count=half_count)
     thetas = np.asarray(thetas, dtype=float)
-    base = math.pi * mass * mass * v0 * v0 * delta ** 4 / k
-    meta = {"engine": variant, "k": k}
+    pref = _PREFACTOR[variant] * (math.pi * mass * mass * v0 * v0 * delta ** 4 / k)
+    beam = IncidentBeam(wavenumber=k, amplitudes={0: 1.0})
+    mol = Molecule(atom_mass=1.0, half_separation=alpha)
 
-    if variant in CLOSED_TWINS:
-        _require(variant, alpha=alpha, d=d)
-        if variant == "closed_grating":
-            _require(variant, half_count=half_count)
-        total = np.zeros_like(thetas)
-        comp = np.zeros_like(thetas)
-        per = {}
-        by_order = {}  # (kappa, |l'|) -> (q_x, w, damp); J_-l'^2 == J_l'^2
-        bess_of = {}   # (kappa, |l'|) -> J_l'(alpha |q|)
-        beam = IncidentBeam(wavenumber=k, amplitudes={0: 1.0})
-        mol = Molecule(atom_mass=1.0, half_separation=alpha)
-        channels = open_channels(beam, mol)
-        keys = list(dict.fromkeys((ch.kappa, abs(ch.l_out)) for ch in channels))
-        for group in _key_groups(keys, thetas.size):
-            xs = np.empty((len(group), thetas.size))
-            for row, key in zip(xs, group):
-                q_x, q_y, q_mag = geometry_grid(k, key[0], thetas)
-                w = (q_mag * delta) ** 2
-                by_order[key] = (q_x, w, np.exp(-0.5 * w))
-                np.multiply(alpha, q_mag, out=row)
-            bess_of.update(zip(group, _bessel_rows([n for _, n in group], xs)))
-        for ch in channels:
-            l_out = ch.l_out
-            key = (ch.kappa, abs(l_out))
-            q_x, w, damp = by_order[key]
-            bess = bess_of[key]
-            if variant == "closed_two_gaussian":
-                c = np.cos(q_x * d)
-                term = 32.0 * base * damp * bess * bess * c * c
-            elif variant == "closed_grating":
-                dir_amp = dirichlet_amplitude_grid(q_x * d, half_count)
-                term = 8.0 * base * damp * bess * bess * dir_amp * dir_amp
-            else:
-                c = np.cos(q_x * d)
-                term = 8.0 * base * damp * bess * bess * _mixed_bracket(w, c)
-            per[(0, l_out)] = term
-            total, comp = _kahan_add(total, comp, term)
-        return CrossSectionProfile(thetas=thetas, sigma=total, per_channel=per,
-                                   metadata=meta)
-
-    if variant in CLOSED_TWINS.values():
-        _require(variant, d=d)
-        q_x, q_y, q_mag = geometry_grid(k, k, thetas)
+    def envelope(q_x, q_y, q_mag):
         w = (q_mag * delta) ** 2
-        damp = np.exp(-0.5 * w)
-        if variant == "closed_structureless_two_gaussian":
-            c = np.cos(q_x * d)
-            sigma = 32.0 * base * damp * c * c
-        elif variant == "closed_structureless_grating":
-            _require(variant, half_count=half_count)
-            dir_amp = dirichlet_amplitude_grid(q_x * d, half_count)
-            sigma = 32.0 * base * damp * dir_amp * dir_amp
-        else:
-            c = np.cos(q_x * d)
-            sigma = 8.0 * base * damp * _mixed_bracket(w, c)
-        return CrossSectionProfile(thetas=thetas, sigma=sigma, metadata=meta)
+        return q_x, w, np.exp(-0.5 * w)
 
-    raise UnsupportedVariantError(f"not a closed-form variant: {variant!r}")
+    def term(ch, at, bess):
+        q_x, w, damp = at
+        return _times_angular(internal, pref * damp * bess * bess, q_x, w, d,
+                              half_count)
+
+    sigma, per = _channel_sum(open_channels(beam, mol), k, alpha, thetas,
+                              envelope, term)
+    return CrossSectionProfile(thetas=thetas, sigma=sigma,
+                               per_channel=None if twin else per,
+                               metadata={"engine": variant, "k": k})

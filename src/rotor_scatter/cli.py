@@ -19,7 +19,13 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import output, specfun
-from .analysis import AnalysisError, fringe_window, visibility, visibility_ratio
+from .analysis import (
+    AnalysisError,
+    fringe_window,
+    require_samples,
+    visibility,
+    visibility_ratio,
+)
 from .born import (
     UnsupportedVariantError,
     profile_closed,
@@ -27,6 +33,7 @@ from .born import (
     profile_structureless,
     structureless_counterpart,
 )
+from .kinematics import open_channels
 from .model import (
     CLOSED_TWINS,
     GAUSSIAN,
@@ -169,11 +176,9 @@ def _profile_for_k(cfg: Config, thetas: np.ndarray, k: float) -> CrossSectionPro
         if variant == "structureless":
             return profile_structureless(thetas, cfg.molecule.atom_mass, k,
                                          cfg.potential)
-        kwargs = _closed_params(cfg)
-        if variant in CLOSED_TWINS:
-            kwargs["alpha"] = cfg.molecule.half_separation
         return profile_closed(variant, thetas, mass=cfg.molecule.atom_mass,
-                              k=k, **kwargs)
+                              k=k, alpha=cfg.molecule.half_separation,
+                              **_closed_params(cfg))
 
 
 def _counterpart_for_k(cfg: Config, thetas: np.ndarray, k: float) -> CrossSectionProfile:
@@ -277,8 +282,17 @@ def cmd_compare(args) -> int:
     if cfg.engine_variant not in ("general", *CLOSED_TWINS):
         raise CliError("compare needs an internal-structure engine "
                        "(general or a closed internal variant)", 1)
+    if cfg.engine_variant != "general":
+        _closed_params(cfg)  # a config error exits 1 before the grid check
     k_values = scan.k_values or (cfg.beam.wavenumber,)
     thetas = scan.thetas()
+    # sigma oscillates in theta no faster than kappa_max * (span of the peak
+    # centres + 2 alpha): the pair phases q_x * (c - c') and J^2(alpha |q|)
+    centres = [p.center_x for p in cfg.potential.peaks]
+    kappa_max = max(ch.kappa for k in k_values
+                    for ch in open_channels(_beam_for_k(cfg, k), cfg.molecule))
+    require_samples(thetas, kappa_max * (max(centres) - min(centres)
+                                         + 2.0 * cfg.molecule.half_separation))
     tasks = [lambda k=k: _profile_for_k(cfg, thetas, k) for k in k_values]
     tasks += [lambda k=k: _counterpart_for_k(cfg, thetas, k) for k in k_values]
     profiles = _columns_parallel(tasks, args.threads)

@@ -55,6 +55,10 @@ class CheckResult:
                 "passed": self.passed}
 
 
+# (worst observed deviation, tolerance): a check passes when worst <= tol
+Outcome = Tuple[float, float]
+
+
 def _gauss(v0=1.0, delta=1.0) -> PeakShape:
     return PeakShape(variant=GAUSSIAN, strength=v0, width=delta)
 
@@ -71,42 +75,42 @@ def _worst_rel(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b)[mask] / scale[mask]))
 
 
-def _check_bessel_reflection() -> CheckResult:
+def _check_bessel_reflection() -> Outcome:
     ns, xs = np.meshgrid(np.arange(1, 9), (0.0, 0.3, 1.5, 7.2, 40.1, 400.0))
     ns, xs = ns.ravel(), xs.ravel()
     lhs = specfun.bessel_j_grid(-ns, xs)
     rhs = (-1.0) ** ns * specfun.bessel_j_grid(ns, xs)
     worst = float(np.max(np.abs(lhs - rhs)))
-    return CheckResult("bessel-reflection", worst, 0.0, worst <= 0.0)
+    return worst, 0.0
 
 
-def _check_bessel_sum_squares() -> CheckResult:
+def _check_bessel_sum_squares() -> Outcome:
     worst = 0.0
     for x in (1.0, 10.0, 100.0, 1000.0):
         n_max = int(x) + 60
         js = specfun.bessel_j_batch(n_max, x)
         total = js[0] ** 2 + 2.0 * math.fsum(j * j for j in js[1:])
         worst = max(worst, abs(total - 1.0))
-    return CheckResult("bessel-sum-squares", worst, 1e-10, worst <= 1e-10)
+    return worst, 1e-10
 
 
-def _check_bessel_recurrence() -> CheckResult:
+def _check_bessel_recurrence() -> Outcome:
     worst = 0.0
     for x in (0.1, 0.9, 3.7, 21.5, 150.3):
         js = specfun.bessel_j_batch(42, x)
         for n in range(1, 41):
             resid = abs(js[n - 1] + js[n + 1] - (2.0 * n / x) * js[n])
             worst = max(worst, resid / max(1.0, abs(js[n])))
-    return CheckResult("bessel-recurrence", worst, 1e-10, worst <= 1e-10)
+    return worst, 1e-10
 
 
-def _check_bessel_first_zero() -> CheckResult:
+def _check_bessel_first_zero() -> Outcome:
     worst = abs(specfun.bessel_j(0, 2.404825557695773))
-    return CheckResult("bessel-first-zero", worst, 1e-12, worst <= 1e-12)
+    return worst, 1e-12
 
 
-def _ft_check(name: str, shape_of: Callable[[], PeakShape],
-              q_deltas: Tuple[float, ...]) -> CheckResult:
+def _ft_check(shape_of: Callable[[float], PeakShape],
+              q_deltas: Tuple[float, ...]) -> Outcome:
     worst = 0.0
     for delta in (1.0, 2.5):
         shape = shape_of(delta)
@@ -123,20 +127,18 @@ def _ft_check(name: str, shape_of: Callable[[], PeakShape],
             scale = max(abs(exact), abs(approx))
             if scale > 0.0:
                 worst = max(worst, abs(exact - approx) / scale)
-    return CheckResult(name, worst, 1e-8, worst <= 1e-8)
+    return worst, 1e-8
 
 
-def _check_ft_gaussian() -> CheckResult:
-    return _ft_check("ft-gaussian", lambda d: _gauss(1.3, d),
-                     (0.0, 1.5, 4.0, 8.0, 12.0))
+def _check_ft_gaussian() -> Outcome:
+    return _ft_check(lambda d: _gauss(1.3, d), (0.0, 1.5, 4.0, 8.0, 12.0))
 
 
-def _check_ft_polynomial_gaussian() -> CheckResult:
-    return _ft_check("ft-polynomial-gaussian", lambda d: _poly(0.9, d),
-                     (1.0, 4.0, 8.0, 12.0))
+def _check_ft_polynomial_gaussian() -> Outcome:
+    return _ft_check(lambda d: _poly(0.9, d), (1.0, 4.0, 8.0, 12.0))
 
 
-def _check_me_oracle() -> CheckResult:
+def _check_me_oracle() -> Outcome:
     rng = random.Random(97)
     worst = 0.0
     draws = 0
@@ -157,15 +159,15 @@ def _check_me_oracle() -> CheckResult:
         a = matrix_element(spec, mol, k, theta, 0, l_out, kappa)
         b = matrix_element_quadrature(spec, mol, k, theta, 0, l_out, kappa)
         worst = max(worst, abs(a - b) / max(abs(b), 1e-3))
-    return CheckResult("me-oracle", worst, 1e-10, worst <= 1e-10)
+    return worst, 1e-10
 
 
 _EQUIV_THETAS = np.linspace(-math.pi / 2, math.pi / 2, 101)
 _EQUIV_KS = (0.5, 2.0, 10.0)
 
 
-def _equiv_internal(name: str, variant: str, spec: PotentialSpec,
-                    alpha: float, **kw) -> CheckResult:
+def _equiv_internal(variant: str, spec: PotentialSpec, alpha: float,
+                    **kw) -> Outcome:
     mol = Molecule(atom_mass=1.0, half_separation=alpha)
     worst = 0.0
     for k in _EQUIV_KS:
@@ -174,61 +176,58 @@ def _equiv_internal(name: str, variant: str, spec: PotentialSpec,
         pc = profile_closed(variant, _EQUIV_THETAS, mass=1.0, k=k,
                             alpha=alpha, **kw)
         worst = max(worst, _worst_rel(pg.sigma, pc.sigma))
-    return CheckResult(name, worst, 1e-12, worst <= 1e-12)
+    return worst, 1e-12
 
 
-def _equiv_structureless(name: str, variant: str, spec: PotentialSpec,
-                         **kw) -> CheckResult:
+def _equiv_structureless(variant: str, spec: PotentialSpec,
+                         **kw) -> Outcome:
     worst = 0.0
     for k in _EQUIV_KS:
         ps = profile_structureless(_EQUIV_THETAS, 2.0, k, spec)
         pc = profile_closed(variant, _EQUIV_THETAS, mass=1.0, k=k, **kw)
         worst = max(worst, _worst_rel(ps.sigma, pc.sigma))
-    return CheckResult(name, worst, 1e-12, worst <= 1e-12)
+    return worst, 1e-12
 
 
-def _check_equiv_two_gaussian() -> CheckResult:
+def _check_equiv_two_gaussian() -> Outcome:
     spec = PotentialSpec(peaks=(Peak(2.0, _gauss()), Peak(-2.0, _gauss())))
-    return _equiv_internal("equiv-two-gaussian", "closed_two_gaussian", spec,
+    return _equiv_internal("closed_two_gaussian", spec,
                            alpha=1.0, v0=1.0, delta=1.0, d=2.0)
 
 
-def _check_equiv_grating() -> CheckResult:
+def _check_equiv_grating() -> Outcome:
     spec = make_grating(3, 1.3, _gauss())
-    return _equiv_internal("equiv-grating", "closed_grating", spec,
+    return _equiv_internal("closed_grating", spec,
                            alpha=0.61, v0=1.0, delta=1.0, d=1.3, half_count=3)
 
 
-def _check_equiv_mixed() -> CheckResult:
+def _check_equiv_mixed() -> Outcome:
     spec = PotentialSpec(peaks=(Peak(7.0, _poly(1.0, 0.09)),
                                 Peak(-7.0, _gauss(1.0, 0.09))))
-    return _equiv_internal("equiv-mixed", "closed_mixed", spec,
+    return _equiv_internal("closed_mixed", spec,
                            alpha=0.7, v0=1.0, delta=0.09, d=7.0)
 
 
-def _check_equiv_structureless_two_gaussian() -> CheckResult:
+def _check_equiv_structureless_two_gaussian() -> Outcome:
     spec = PotentialSpec(peaks=(Peak(2.0, _gauss(2.0)), Peak(-2.0, _gauss(2.0))))
-    return _equiv_structureless("equiv-structureless-two-gaussian",
-                                "closed_structureless_two_gaussian", spec,
+    return _equiv_structureless("closed_structureless_two_gaussian", spec,
                                 v0=1.0, delta=1.0, d=2.0)
 
 
-def _check_equiv_structureless_grating() -> CheckResult:
+def _check_equiv_structureless_grating() -> Outcome:
     spec = make_grating(3, 1.3, _gauss(4.0))
-    return _equiv_structureless("equiv-structureless-grating",
-                                "closed_structureless_grating", spec,
+    return _equiv_structureless("closed_structureless_grating", spec,
                                 v0=1.0, delta=1.0, d=1.3, half_count=3)
 
 
-def _check_equiv_structureless_mixed() -> CheckResult:
+def _check_equiv_structureless_mixed() -> Outcome:
     spec = PotentialSpec(peaks=(Peak(4.0, _poly(2.0, 1.5)),
                                 Peak(-4.0, _gauss(2.0, 1.5))))
-    return _equiv_structureless("equiv-structureless-mixed",
-                                "closed_structureless_mixed", spec,
+    return _equiv_structureless("closed_structureless_mixed", spec,
                                 v0=1.0, delta=1.5, d=4.0)
 
 
-def _check_structureless_limit() -> CheckResult:
+def _check_structureless_limit() -> Outcome:
     mol = Molecule(atom_mass=1.0, half_separation=1e-8)
     spec = PotentialSpec(peaks=(Peak(2.0, _gauss()), Peak(-2.0, _gauss())))
     mass2, spec2 = structureless_counterpart(mol, spec)
@@ -239,10 +238,10 @@ def _check_structureless_limit() -> CheckResult:
         pg = profile_general(th, mol, beam, spec)
         ps = profile_structureless(th, mass2, k, spec2)
         worst = max(worst, _worst_rel(pg.sigma, ps.sigma))
-    return CheckResult("structureless-limit", worst, 1e-6, worst <= 1e-6)
+    return worst, 1e-6
 
 
-def _check_parity_threshold() -> CheckResult:
+def _check_parity_threshold() -> Outcome:
     spec = PotentialSpec(peaks=(Peak(2.0, _gauss()), Peak(-2.0, _gauss())))
     mol = Molecule(atom_mass=1.0, half_separation=1.0)
     worst = 0.0
@@ -254,7 +253,7 @@ def _check_parity_threshold() -> CheckResult:
     channels = {(c.l_in, c.l_out) for c in open_channels(beam, mol)}
     if channels != {(0, 0)}:
         worst = max(worst, 1.0)
-    return CheckResult("parity-threshold", worst, 0.0, worst <= 0.0)
+    return worst, 0.0
 
 
 def _forward_sigma(spec: PotentialSpec) -> float:
@@ -262,7 +261,7 @@ def _forward_sigma(spec: PotentialSpec) -> float:
     return float(profile_structureless(np.array([0.0, 0.1]), 1.0, 1.0, spec).sigma[0])
 
 
-def _check_grating_forward_scaling() -> CheckResult:
+def _check_grating_forward_scaling() -> Outcome:
     shape = _gauss()
     base = _forward_sigma(make_grating(0, 3.0, shape))
     worst = 0.0
@@ -270,10 +269,10 @@ def _check_grating_forward_scaling() -> CheckResult:
         sig = _forward_sigma(make_grating(n, 3.0, shape))
         expect = (2 * n + 1) ** 2
         worst = max(worst, abs(sig / base - expect) / expect)
-    return CheckResult("grating-forward-scaling", worst, 1e-9, worst <= 1e-9)
+    return worst, 1e-9
 
 
-def _check_mirror_symmetry() -> CheckResult:
+def _check_mirror_symmetry() -> Outcome:
     spec = PotentialSpec(peaks=(Peak(4.0, _poly(1.0, 1.5)),
                                 Peak(-4.0, _gauss(1.0, 1.5))))
     mol = Molecule(atom_mass=1.0, half_separation=2.5)
@@ -284,10 +283,10 @@ def _check_mirror_symmetry() -> CheckResult:
         fwd = profile_general(th, mol, beam, spec)
         bwd = profile_general(-th[::-1], mol, beam, spec)
         worst = max(worst, _worst_rel(fwd.sigma, bwd.sigma[::-1]))
-    return CheckResult("mirror-symmetry", worst, 1e-12, worst <= 1e-12)
+    return worst, 1e-12
 
 
-_CHECKS: Tuple[Tuple[str, Callable[[], CheckResult]], ...] = (
+_CHECKS: Tuple[Tuple[str, Callable[[], Outcome]], ...] = (
     ("bessel-reflection", _check_bessel_reflection),
     ("bessel-sum-squares", _check_bessel_sum_squares),
     ("bessel-recurrence", _check_bessel_recurrence),
@@ -317,4 +316,8 @@ def run_checks(only: Optional[str] = None) -> List[CheckResult]:
     chosen = [(n, f) for n, f in _CHECKS if only is None or n.startswith(only)]
     if not chosen:
         raise ValueError(f"no check matches prefix {only!r}")
-    return [fn() for _, fn in chosen]
+    results = []
+    for name, check in chosen:
+        worst, tol = check()
+        results.append(CheckResult(name, worst, tol, worst <= tol))
+    return results

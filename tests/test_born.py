@@ -19,6 +19,7 @@ from rotor_scatter.born import (
     structureless_counterpart,
 )
 from rotor_scatter.model import (
+    CLOSED_TWINS,
     GAUSSIAN,
     POLYNOMIAL_GAUSSIAN,
     IncidentBeam,
@@ -227,6 +228,24 @@ class TestCrossSectionClosed:
         step = th[1] - th[0]
         assert len(got) == len(expect)
         assert np.max(np.abs(got - expect)) < 2 * step
+
+
+# the grating twin is 4x its rotor at alpha = 0: its prefactor 32 against
+# the 8 of the compare convention (2m, 2v0), ROADMAP item 3
+TWIN_OVER_ROTOR = {"closed_two_gaussian": 1.0, "closed_grating": 4.0,
+                   "closed_mixed": 1.0}
+
+
+@pytest.mark.parametrize("internal, twin", sorted(CLOSED_TWINS.items()))
+def test_twin_is_its_rotor_at_zero_arm(internal, twin):
+    # alpha = 0 leaves one channel at kappa = k with J_0(0) = 1 exactly
+    th = np.linspace(-1.5, 1.5, 301)
+    for k in (0.5, 3.0, 12.0):
+        kw = dict(mass=1.3, v0=0.7, delta=0.8, k=k, d=2.5, half_count=3)
+        rotor = profile_closed(internal, th, alpha=0.0, **kw)
+        point = profile_closed(twin, th, **kw)
+        assert np.array_equal(point.sigma, TWIN_OVER_ROTOR[internal] * rotor.sigma)
+        assert point.per_channel is None
 
 
 class TestSpecializationEquivalence:

@@ -276,6 +276,33 @@ class TestCompare:
                 for k in ks])
             assert open(f"{run_dir}/{name}", encoding="utf-8").read() == want
 
+    def test_aliasing_theta_grid_exits_2(self, tmp_path, capsys):
+        # d = 6 pair, alpha = 0.05, k = 300: sigma oscillates up to
+        # kappa_max (12 + 2 alpha) = 3630 rad/rad, so 2,001 angles over pi
+        # hold 1.1 samples per period and the fringe window came out
+        # +-0.041 instead of +-0.127; the step count the refusal names runs
+        doc = two_slit_doc(steps=2001, k_list=(300.0,))
+        doc["molecule"]["alpha"] = 0.05
+        for peak in doc["potential"]["peaks"]:
+            peak["center"] = math.copysign(6.0, peak["center"])
+        doc["scan"]["theta"].update(min=-math.pi / 2, max=math.pi / 2)
+        proc = run_cli_process(["compare", "--config", write_config(tmp_path, doc),
+                                "--out", str(tmp_path)])
+        assert proc.returncode == 2
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert "1.1 samples per fringe period" in proc.stderr
+        need = int(proc.stderr.rsplit(">= ", 1)[1])
+        assert need == 7261
+        closed = dict(doc, engine={"variant": "closed_two_gaussian"},
+                      beam={"k": 300.0, "amplitudes": [{"l": 2, "re": 1.0}]})
+        # a config error still exits 1 first
+        assert main(["compare", "--config", write_config(tmp_path, closed),
+                     "--out", str(tmp_path)]) == 1
+        assert "l = 0" in capsys.readouterr().err
+        doc["scan"]["theta"]["steps"] = need
+        assert main(["compare", "--config", write_config(tmp_path, doc),
+                     "--out", str(tmp_path), "--format", "csv"]) == 0
+
     def test_structureless_engine_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, two_slit_doc(engine="structureless"))
         assert main(["compare", "--config", cfg, "--out", str(tmp_path)]) == 1
