@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from itertools import chain
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -198,10 +199,13 @@ def _scan_or_fail(cfg: Config):
     return cfg.scan
 
 
+def _write_json(path: Path, doc) -> None:
+    output.write_text(path, chain(output.emit_json(doc), ["\n"]))
+
+
 def _run_dir(out_root: str, subcommand: str, manifest: dict) -> Path:
     run_dir = Path(out_root) / f"{subcommand}_{output.manifest_hash(manifest)}"
-    output.write_text(run_dir / "manifest.json",
-                      output.emit_json(manifest) + "\n")
+    _write_json(run_dir / "manifest.json", manifest)
     return run_dir
 
 
@@ -213,18 +217,6 @@ def _columns_parallel(tasks, threads: int) -> List:
         return [f.result() for f in futures]
 
 
-def _profile_json_doc(p: CrossSectionProfile) -> dict:
-    doc = {
-        "theta": p.thetas,
-        "sigma": p.sigma,
-        "metadata": dict(p.metadata),
-    }
-    if p.per_channel:
-        doc["channels"] = {output.channel_label(key): arr
-                           for key, arr in sorted(p.per_channel.items())}
-    return doc
-
-
 def cmd_profile(args) -> int:
     cfg = _load_config(args.config)
     formats = _parse_formats(args.format)
@@ -233,15 +225,23 @@ def cmd_profile(args) -> int:
     manifest = {"subcommand": "profile", "config": serialize_config(cfg),
                 "formats": list(formats)}
     run_dir = _run_dir(args.out, "profile", manifest)
+    # one Column per array: the CSV and the JSON share its text
+    theta, sigma = output.Column(profile.thetas), output.Column(profile.sigma)
+    channels = {key: output.Column(arr)
+                for key, arr in (profile.per_channel or {}).items()}
     if "csv" in formats:
-        output.write_text(run_dir / "profile.csv", output.profile_csv(profile))
+        output.write_text(run_dir / "profile.csv",
+                          output.profile_csv(theta, sigma, channels))
     if "json" in formats:
-        output.write_text(run_dir / "profile.json",
-                          output.emit_json(_profile_json_doc(profile)) + "\n")
+        doc = {"theta": theta, "sigma": sigma, "metadata": dict(profile.metadata)}
+        if channels:
+            doc["channels"] = {output.channel_label(key): col
+                               for key, col in channels.items()}
+        _write_json(run_dir / "profile.json", doc)
     if "svg" in formats:
         title = f"{cfg.engine_variant}, k={output.fmt_real(cfg.beam.wavenumber)[:8]}"
         output.write_text(run_dir / "profile.svg",
-                          output.profile_svg([(cfg.engine_variant, profile)], title))
+                          [output.profile_svg([(cfg.engine_variant, profile)], title)])
     print(run_dir)
     return 0
 
@@ -259,18 +259,19 @@ def cmd_sweep(args) -> int:
     manifest = {"subcommand": "sweep", "config": serialize_config(cfg),
                 "formats": list(formats)}
     run_dir = _run_dir(args.out, "sweep", manifest)
+    theta = output.Column(thetas)
+    sigma = [output.Column(col) for col in columns]
     if "csv" in formats:
         output.write_text(run_dir / "sweep.csv",
-                          output.sweep_csv(thetas, scan.k_values, columns))
+                          output.sweep_csv(theta, scan.k_values, sigma))
     if "json" in formats:
-        doc = {"theta": thetas, "k": list(scan.k_values),
-               "sigma_columns": columns,
-               "engine": cfg.engine_variant}
-        output.write_text(run_dir / "sweep.json", output.emit_json(doc) + "\n")
+        _write_json(run_dir / "sweep.json",
+                    {"theta": theta, "k": list(scan.k_values),
+                     "sigma_columns": sigma, "engine": cfg.engine_variant})
     if "svg" in formats:
         output.write_text(run_dir / "sweep.svg",
-                          output.sweep_svg(thetas, scan.k_values, columns,
-                                           f"sweep: {cfg.engine_variant}"))
+                          [output.sweep_svg(thetas, scan.k_values, columns,
+                                            f"sweep: {cfg.engine_variant}")])
     print(run_dir)
     return 0
 
@@ -316,27 +317,26 @@ def cmd_compare(args) -> int:
     manifest = {"subcommand": "compare", "config": serialize_config(cfg),
                 "formats": list(formats)}
     run_dir = _run_dir(args.out, "compare", manifest)
+    theta = output.Column(thetas)
+    sigma_with = [output.Column(p.sigma) for p in with_profiles]
+    sigma_without = [output.Column(p.sigma) for p in without_profiles]
     if "csv" in formats:
         output.write_text(run_dir / "compare_with.csv",
-                          output.sweep_csv(thetas, k_values,
-                                           [p.sigma for p in with_profiles]))
+                          output.sweep_csv(theta, k_values, sigma_with))
         output.write_text(run_dir / "compare_without.csv",
-                          output.sweep_csv(thetas, k_values,
-                                           [p.sigma for p in without_profiles]))
+                          output.sweep_csv(theta, k_values, sigma_without))
     if "json" in formats:
-        doc = {"theta": thetas, "k": list(k_values),
-               "with": [p.sigma for p in with_profiles],
-               "without": [p.sigma for p in without_profiles],
-               "engine": cfg.engine_variant,
-               "reports": reports}
-        output.write_text(run_dir / "compare.json", output.emit_json(doc) + "\n")
+        _write_json(run_dir / "compare.json",
+                    {"theta": theta, "k": list(k_values), "with": sigma_with,
+                     "without": sigma_without, "engine": cfg.engine_variant,
+                     "reports": reports})
     if "svg" in formats:
         for i, (k, pw, po) in enumerate(zip(k_values, with_profiles,
                                             without_profiles)):
             title = f"k={output.fmt_real(k)[:8]}"
             output.write_text(run_dir / f"compare_{i}.svg",
-                              output.profile_svg([("internal", pw),
-                                                  ("structureless", po)], title))
+                              [output.profile_svg([("internal", pw),
+                                                   ("structureless", po)], title)])
     print(run_dir)
     return 0
 
@@ -353,13 +353,13 @@ def cmd_validate(args) -> int:
     doc = {"checks": [r.as_dict() for r in results],
            "all_passed": all(r.passed for r in results)}
     if "json" in formats:
-        output.write_text(run_dir / "validate.json", output.emit_json(doc) + "\n")
+        _write_json(run_dir / "validate.json", doc)
     if "csv" in formats:
         lines = ["name,worst,tol,passed"]
         lines += [f"{r.name},{output.fmt_real(r.worst)},"
                   f"{output.fmt_real(r.tol)},{str(r.passed).lower()}"
                   for r in results]
-        output.write_text(run_dir / "validate.csv", "\n".join(lines) + "\n")
+        output.write_text(run_dir / "validate.csv", ["\n".join(lines) + "\n"])
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"{status} {r.name}: worst {r.worst:.3e} vs tol {r.tol:.1e}")
@@ -373,18 +373,17 @@ def cmd_bessel_table(args) -> int:
         raise CliError(f"--n-max must be in [0, {specfun.ORDER_CAP}]", 1)
     if not math.isfinite(args.x) or args.x < 0:
         raise CliError("--x must be finite and >= 0", 1)
-    values = specfun.bessel_j_batch(args.n_max, args.x)
+    values = output.Column(specfun.bessel_j_batch(args.n_max, args.x))
     manifest = {"subcommand": "bessel-table", "n_max": args.n_max,
                 "x": args.x, "formats": list(formats)}
     run_dir = _run_dir(args.out, "bessel-table", manifest)
     if "csv" in formats:
-        lines = ["n,J_n"]
-        lines += [f"{n},{output.fmt_real(v)}" for n, v in enumerate(values)]
-        output.write_text(run_dir / "bessel_table.csv", "\n".join(lines) + "\n")
+        # each order n < 2**53 prints as its integer through %.17g
+        orders = np.arange(args.n_max + 1, dtype=float)
+        output.write_text(run_dir / "bessel_table.csv",
+                          output.table_csv(["n", "J_n"], [orders, values]))
     if "json" in formats:
-        doc = {"x": args.x, "values": list(values)}
-        output.write_text(run_dir / "bessel_table.json",
-                          output.emit_json(doc) + "\n")
+        _write_json(run_dir / "bessel_table.json", {"x": args.x, "values": values})
     print(run_dir)
     return 0
 

@@ -8,38 +8,49 @@ and float formatting is pinned rather than left to the stdlib default.
 Numbers are formatted an array at a time: ``fmt_table`` checks a whole
 array for finiteness once, then fills a template holding one ``%.17g``
 per value in a single ``%`` call, which prints exactly what ``fmt_real``
-prints per value. The CSV writers format blocks of ``_BLOCK_ROWS`` rows,
-so only one block is held as Python floats at a time. ``emit_json``
-appends to a single list and joins once; a list of plain floats or a
-1-D float64 array is one ``fmt_table`` call. The SVG writers compute
-pixel coordinates over arrays, with the same IEEE operations in the same
-order as the scalar formula, and format each curve in one call. Every output byte is pinned
-by ``tests/output_sha256.json``.
+prints per value. Each float vector a file holds is a ``Column``, whose
+text is formatted once, one ``fmt_table`` string per ``_BLOCK_ROWS``
+values, and shared: the CSV writers zip the split block texts of their
+columns into row blocks, and ``emit_json`` writes a column as an array
+by putting ``",\n" + indent`` between its values. The CLI hands the same
+``Column`` objects to both writers, so a value is formatted once for
+both files; the JSON writer drops a column's text once it has been
+written. Both writers return string pieces for ``write_text``, so
+neither joins or encodes a whole document, and both refuse a
+non-finite value before the first piece is written. The SVG writers
+compute pixel coordinates over arrays, with the same IEEE operations in
+the same order as the scalar formula, and format each curve in one call.
+Every output byte is pinned by ``tests/output_sha256.json``.
 """
 
 import hashlib
 import math
 from pathlib import Path
-from typing import Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .model import CrossSectionProfile
 
 __all__ = [
+    "Column",
     "fmt_real",
     "fmt_table",
     "emit_json",
     "manifest_hash",
     "profile_csv",
     "sweep_csv",
+    "table_csv",
     "profile_svg",
     "sweep_svg",
     "write_text",
 ]
 
-# CSV rows formatted per block: bounds the Python floats and templates held at once
-_BLOCK_ROWS = 2048
+# values per formatted block: bounds the Python floats and the template of one
+# fmt_table call, and the _BLOCK_ROWS x columns cell strings a CSV row block
+# splits into (at 2,048 rows the 101 columns of a k*alpha = 100 profile
+# split into ~15 MB of cells)
+_BLOCK_ROWS = 512
 
 
 def fmt_real(x: float) -> str:
@@ -68,14 +79,75 @@ def fmt_table(values, sep: str = ",") -> str:
     return template % tuple(rows.ravel().tolist())
 
 
-def emit_json(value) -> str:
-    """Canonical JSON: sorted keys, pinned float format, LF separators."""
-    out: List[str] = []
+class Column:
+    """A float vector of an output file, formatted at most once.
+
+    ``blocks()`` is its ``fmt_real`` text: one string per ``_BLOCK_ROWS``
+    values, the values separated by newlines. It is kept until ``drop()``,
+    so every writer handed the same column reuses it.
+    """
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+        self._blocks: Optional[List[str]] = None
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def blocks(self) -> List[str]:
+        if self._blocks is None:
+            v = self.values
+            self._blocks = [fmt_table(v[s:s + _BLOCK_ROWS], sep="\n")
+                            for s in range(0, len(v), _BLOCK_ROWS)]
+        return self._blocks
+
+    def drop(self) -> None:
+        self._blocks = None
+
+
+def _column(values) -> Column:
+    return values if isinstance(values, Column) else Column(values)
+
+
+def _refuse_non_finite(columns: Sequence[Column]) -> None:
+    """``fmt_real``'s error for the first non-finite value in row order."""
+    bad = []
+    for j, col in enumerate(columns):
+        finite = np.isfinite(col.values)
+        if not finite.all():
+            bad.append((int(np.argmin(finite)), j))
+    if bad:
+        i, j = min(bad)
+        fmt_real(columns[j].values[i])
+
+
+def emit_json(value) -> Iterator[str]:
+    """Canonical JSON as string pieces: sorted keys, pinned float format,
+    LF separators.
+
+    The document is laid out and every value checked before this returns,
+    so a refusal writes nothing. A float vector (a ``Column``, a 1-D
+    float64 array, or a list of plain floats) is one piece, made from its
+    column's block texts when the piece is reached; the text is dropped
+    before the piece is handed out.
+    """
+    out: List = []
     _emit_json(value, 0, out)
-    return "".join(out)
+    return _json_pieces(out)
 
 
-def _emit_json(value, indent: int, out: List[str]) -> None:
+def _json_pieces(out: List) -> Iterator[str]:
+    for piece in out:
+        if isinstance(piece, str):
+            yield piece
+            continue
+        column, sep = piece
+        text = "\n".join(column.blocks()).replace("\n", sep)
+        column.drop()
+        yield text
+
+
+def _emit_json(value, indent: int, out: List) -> None:
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(value, dict):
@@ -89,14 +161,17 @@ def _emit_json(value, indent: int, out: List[str]) -> None:
             sep = ",\n"
         out.append("\n" + pad + "}")
         return
-    vector = isinstance(value, np.ndarray) and value.ndim == 1 \
-        and value.dtype == np.float64
+    vector = isinstance(value, Column) or (isinstance(value, np.ndarray)
+                                           and value.ndim == 1
+                                           and value.dtype == np.float64)
     if vector or isinstance(value, (list, tuple)):
         if len(value) == 0:
             out.append("[]")
             return
         if vector or all(type(v) is float for v in value):
-            out.append("[\n" + inner + fmt_table(value, sep=",\n" + inner))
+            column = _column(value)
+            _refuse_non_finite([column])
+            out.extend(["[\n" + inner, (column, ",\n" + inner)])
         else:
             sep = "[\n"
             for v in value:
@@ -142,7 +217,7 @@ def _json_string(s: str) -> str:
 
 def manifest_hash(doc) -> str:
     """First 12 hex digits of the canonical-JSON digest of a manifest."""
-    blob = emit_json(doc).encode("utf-8")
+    blob = "".join(emit_json(doc)).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
@@ -151,41 +226,49 @@ def channel_label(key: Tuple[int, int]) -> str:
     return f"sigma_{key[0]}_{key[1]}"
 
 
-def _csv_text(header: List[str], columns: Sequence) -> str:
-    """Header plus one row per index of the equal-length columns."""
+def table_csv(header: List[str], columns: Sequence) -> Iterator[str]:
+    """Header plus one row per index of the equal-length columns.
+
+    Every column is checked and formatted before this returns; the row
+    blocks are zipped from the column blocks as the pieces are taken.
+    """
+    columns = [_column(col) for col in columns]
     n = len(columns[0])
     if any(len(col) != n for col in columns):
         raise ValueError("every column must have one value per theta")
-    pieces = [",".join(header), "\n"]
-    for start in range(0, n, _BLOCK_ROWS):
-        block = np.column_stack([np.asarray(col[start:start + _BLOCK_ROWS], dtype=float)
-                                 for col in columns])
-        pieces.append(fmt_table(block))
-        pieces.append("\n")
-    return "".join(pieces)
+    _refuse_non_finite(columns)
+    blocks = [col.blocks() for col in columns]
+    return _csv_pieces(",".join(header), blocks)
 
 
-def profile_csv(profile: CrossSectionProfile) -> str:
-    channels = sorted(profile.per_channel) if profile.per_channel else []
+def _csv_pieces(header: str, blocks: List[List[str]]) -> Iterator[str]:
+    yield header + "\n"
+    for row_block in zip(*blocks):
+        cells = zip(*[text.split("\n") for text in row_block])
+        yield "\n".join(map(",".join, cells)) + "\n"
+
+
+def profile_csv(thetas, sigma,
+                per_channel: Dict[Tuple[int, int], Sequence]) -> Iterator[str]:
+    """theta, sigma, then one column per (l_in, l_out) channel in key order."""
+    channels = sorted(per_channel)
     header = ["theta", "sigma"] + [channel_label(c) for c in channels]
-    columns = [profile.thetas, profile.sigma]
-    columns.extend(profile.per_channel[c] for c in channels)
-    return _csv_text(header, columns)
+    return table_csv(header, [thetas, sigma, *(per_channel[c] for c in channels)])
 
 
-def sweep_csv(thetas: Sequence[float], k_values: Sequence[float],
-              columns: Sequence[Sequence[float]]) -> str:
+def sweep_csv(thetas, k_values: Sequence[float], columns: Sequence) -> Iterator[str]:
     """Matrix CSV: one row per theta, one sigma column per wavenumber."""
     if len(columns) != len(k_values):
         raise ValueError("one sigma column required per k value")
     header = ["theta"] + [f"k={fmt_real(k)}" for k in k_values]
-    return _csv_text(header, [thetas, *columns])
+    return table_csv(header, [thetas, *columns])
 
 
-def write_text(path: Path, text: str) -> None:
+def write_text(path: Path, pieces: Iterable[str]) -> None:
+    """Write the string pieces in order; each is encoded as it is written."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        fh.writelines(pieces)
 
 
 # fixed canvas for the optional plots; CSV remains the authoritative output

@@ -271,9 +271,9 @@ class TestCompare:
         thetas = ScanSpec(-1.2, 1.2, 121, ks).thetas()
         for name, engine, extra in (("compare_with.csv", variant, {"alpha": 1.0}),
                                     ("compare_without.csv", twin, {})):
-            want = output.sweep_csv(thetas, ks, [
+            want = "".join(output.sweep_csv(thetas, ks, [
                 profile_closed(engine, thetas, mass=1.0, k=k, **kw, **extra).sigma
-                for k in ks])
+                for k in ks]))
             assert open(f"{run_dir}/{name}", encoding="utf-8").read() == want
 
     def test_aliasing_theta_grid_exits_2(self, tmp_path, capsys):
@@ -385,6 +385,36 @@ class TestBesselTable:
         assert main(["bessel-table", "--n-max", "4", "--x", "-2.0",
                      "--out", str(tmp_path)]) == 1
         capsys.readouterr()
+
+
+class TestFormatSubsets:
+    @pytest.mark.parametrize("subcommand", ["profile", "sweep", "compare",
+                                            "bessel-table"])
+    def test_each_format_writes_the_bytes_of_the_full_run(self, tmp_path, capsys,
+                                                         subcommand):
+        # csv and json share one formatting pass; written alone, each file
+        # must still hold the bytes it holds when every format is written
+        if subcommand == "bessel-table":
+            argv = ["bessel-table", "--n-max", "2100", "--x", "1500"]
+        else:  # a general-engine profile carries per-channel columns
+            argv = [subcommand, "--config",
+                    write_config(tmp_path, two_slit_doc(steps=2049,
+                                                        k_list=(2.0, 3.0)))]
+
+        def files(formats):
+            assert main([*argv, "--out", str(tmp_path / formats),
+                         "--format", formats]) == 0
+            run_dir = pathlib.Path(run_dir_from(capsys))
+            return {f.name: f.read_bytes() for f in run_dir.iterdir()
+                    if f.name != "manifest.json"}
+
+        full = files("csv,json,svg")
+        for formats in ("csv", "json", "csv,json"):
+            got = files(formats)
+            assert got, formats
+            suffixes = {"." + f for f in formats.split(",")}
+            assert got == {name: data for name, data in full.items()
+                           if pathlib.Path(name).suffix in suffixes}, formats
 
 
 class TestUsage:

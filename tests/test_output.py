@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rotor_scatter import output
 from rotor_scatter.model import CrossSectionProfile
 from rotor_scatter.output import (
     _BLOCK_ROWS,
+    Column,
     emit_json,
     fmt_table,
     fmt_real,
@@ -20,7 +22,21 @@ from rotor_scatter.output import (
     profile_svg,
     sweep_csv,
     sweep_svg,
+    table_csv,
+    write_text,
 )
+
+
+def json_text(value):
+    return "".join(emit_json(value))
+
+
+def sweep_text(thetas, k_values, columns):
+    return "".join(sweep_csv(thetas, k_values, columns))
+
+
+def profile_text(p):
+    return "".join(profile_csv(p.thetas, p.sigma, p.per_channel or {}))
 
 
 class TestFmtReal:
@@ -60,7 +76,7 @@ def ref_emit_json(value, indent=0):
     if isinstance(value, dict):
         if not value:
             return "{}"
-        rows = [f'{inner}{emit_json(str(k))}: {ref_emit_json(value[k], indent + 1)}'
+        rows = [f'{inner}{json_text(str(k))}: {ref_emit_json(value[k], indent + 1)}'
                 for k in sorted(value, key=str)]
         return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
     if isinstance(value, (list, tuple)):
@@ -70,7 +86,7 @@ def ref_emit_json(value, indent=0):
         return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
     if isinstance(value, float):
         return fmt_real(value)
-    return emit_json(value)
+    return json_text(value)
 
 
 def ref_sweep_csv(thetas, k_values, columns):
@@ -129,21 +145,21 @@ class TestFmtTable:
 class TestEmitJson:
     def test_sorted_keys_and_types(self):
         doc = {"b": [1, 2.5, "x"], "a": {"nested": True, "z": None}}
-        text = emit_json(doc)
+        text = json_text(doc)
         assert text.index('"a"') < text.index('"b"')
         assert "true" in text and "null" in text
         assert "2.5" in text
 
     def test_escaping(self):
-        assert emit_json('he said "hi"\n') == '"he said \\"hi\\"\\n"'
+        assert json_text('he said "hi"\n') == '"he said \\"hi\\"\\n"'
 
     def test_rejects_unknown_types(self):
         with pytest.raises(TypeError):
-            emit_json({"x": object()})
+            json_text({"x": object()})
 
     def test_empty_containers(self):
-        assert emit_json({}) == "{}"
-        assert emit_json([]) == "[]"
+        assert json_text({}) == "{}"
+        assert json_text([]) == "[]"
 
 
 class TestManifestHash:
@@ -170,7 +186,7 @@ def small_profile():
 
 class TestCsv:
     def test_profile_header_and_rows(self):
-        text = profile_csv(small_profile())
+        text = profile_text(small_profile())
         lines = text.strip().split("\n")
         assert lines[0] == "theta,sigma,sigma_0_-2,sigma_0_0,sigma_0_2"
         assert len(lines) == 6
@@ -182,14 +198,14 @@ class TestCsv:
     def test_profile_without_channels(self):
         th = np.linspace(0.0, 1.0, 3)
         p = CrossSectionProfile(thetas=th, sigma=np.ones(3))
-        assert profile_csv(p).split("\n")[0] == "theta,sigma"
+        assert profile_text(p).split("\n")[0] == "theta,sigma"
 
     def test_lf_endings_only(self):
-        assert "\r" not in profile_csv(small_profile())
+        assert "\r" not in profile_text(small_profile())
 
     def test_sweep_matrix(self):
         th = [0.0, 0.5]
-        text = sweep_csv(th, [1.0, 2.0], [[3.0, 4.0], [5.0, 6.0]])
+        text = sweep_text(th, [1.0, 2.0], [[3.0, 4.0], [5.0, 6.0]])
         lines = text.strip().split("\n")
         assert lines[0] == "theta,k=1,k=2"
         assert lines[1] == "0,3,5"
@@ -215,22 +231,28 @@ class TestSvg:
         assert text.count("<polyline") == 2
 
 
+# row counts around one formatting block, and four blocks with and without
+# a one-row tail
+BLOCK_EDGES = [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+               4 * _BLOCK_ROWS, 4 * _BLOCK_ROWS + 1]
+
+
 class TestWritersMatchPerValueReference:
-    @pytest.mark.parametrize("rows", [1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("rows", [1, *BLOCK_EDGES])
     def test_sweep_csv_across_block_boundary(self, rows):
         thetas = np.linspace(-1.5, 1.5, rows) if rows > 1 else np.array([-0.0])
         columns = [edge_column(rows, s) for s in range(3)]
         ks = [0.25, 1.0, 1e-300]
-        assert sweep_csv(thetas, ks, columns) == ref_sweep_csv(thetas, ks, columns)
+        assert sweep_text(thetas, ks, columns) == ref_sweep_csv(thetas, ks, columns)
 
     def test_sweep_csv_integer_list_entries(self):
         thetas = [0, 0.5, 1]
         columns = [[3, 4.0, -0.0], [5.5, 0, 2**52 + 1]]
-        text = sweep_csv(thetas, [1, 2.0], columns)
+        text = sweep_text(thetas, [1, 2.0], columns)
         assert text == ref_sweep_csv(thetas, [1, 2.0], columns)
         assert text.split("\n")[3] == "1,-0,4503599627370497"
 
-    @pytest.mark.parametrize("rows", [2, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("rows", [2, *BLOCK_EDGES])
     @pytest.mark.parametrize("n_channels", [0, 3])
     def test_profile_csv_across_block_boundary(self, rows, n_channels):
         # a profile holds >= 2 ascending angles and non-negative sigma
@@ -244,7 +266,57 @@ class TestWritersMatchPerValueReference:
         sigma = sum(per.values()) if per else sigma_like(9)
         p = CrossSectionProfile(thetas=np.linspace(-1.5, 1.5, rows),
                                 sigma=sigma, per_channel=per or None)
-        assert profile_csv(p) == ref_profile_csv(p)
+        assert profile_text(p) == ref_profile_csv(p)
+
+    @pytest.mark.parametrize("rows", BLOCK_EDGES)
+    def test_documents_share_one_formatting_pass(self, rows, monkeypatch):
+        # the CLI's documents: each array is one Column that the CSVs and
+        # the JSON both write, and every value is formatted exactly once
+        formatted = []
+        real_fmt_table = output.fmt_table
+        monkeypatch.setattr(output, "fmt_table", lambda values, sep=",": (
+            formatted.append(np.size(values)) or real_fmt_table(values, sep)))
+        thetas = np.linspace(-1.5, 1.5, rows)
+        ks = [0.5, 1e-300, 7.0]
+        # a quarter each, so three channels sum without overflow
+        arrays = [0.25 * np.abs(edge_column(rows, s)) for s in range(2 * len(ks))]
+
+        def as_lists(doc):
+            if isinstance(doc, dict):
+                return {key: as_lists(v) for key, v in doc.items()}
+            if isinstance(doc, list):
+                return [as_lists(v) for v in doc]
+            return doc.values.tolist() if isinstance(doc, Column) else doc
+
+        # sweep: one CSV, one JSON
+        theta, sigma = Column(thetas), [Column(a) for a in arrays[:3]]
+        assert sweep_text(theta, ks, sigma) == ref_sweep_csv(thetas, ks, arrays[:3])
+        doc = {"theta": theta, "k": ks, "sigma_columns": sigma,
+               "engine": "structureless"}
+        assert json_text(doc) == ref_emit_json(as_lists(doc))
+        # compare: two CSVs, one JSON holding both column sets and reports
+        theta, sigma = Column(thetas), [Column(a) for a in arrays]
+        for half in (slice(0, 3), slice(3, 6)):
+            assert sweep_text(theta, ks, sigma[half]) == \
+                ref_sweep_csv(thetas, ks, arrays[half])
+        reports = [{"k": k, "window": [-0.25, 0.5], "visibility_with": 0.75,
+                    "visibility_without": 1.0, "suppression_ratio": 0.75}
+                   for k in ks]
+        doc = {"theta": theta, "k": ks, "with": sigma[:3], "without": sigma[3:],
+               "engine": "general", "reports": reports}
+        assert json_text(doc) == ref_emit_json(as_lists(doc))
+        # per-channel profile: channels in (l_in, l_out) order in the CSV
+        p = CrossSectionProfile(thetas=thetas, sigma=sum(arrays[:3]),
+                                per_channel={(0, 2 * i - 2): arrays[i] for i in range(3)})
+        theta, total = Column(thetas), Column(p.sigma)
+        per_channel = {key: Column(a) for key, a in p.per_channel.items()}
+        assert "".join(profile_csv(theta, total, per_channel)) == ref_profile_csv(p)
+        doc = {"theta": theta, "sigma": total, "metadata": {"k": 2.5},
+               "channels": {f"sigma_{a}_{b}": c for (a, b), c in per_channel.items()}}
+        assert json_text(doc) == ref_emit_json(as_lists(doc))
+        # rows values per Column: 4 in the sweep, 7 in the compare and 5 in
+        # the profile; the k lists of two documents and three windows
+        assert sum(formatted) == (4 + 7 + 5) * rows + 2 * len(ks) + 3 * 2
 
     def test_columns_must_match_theta_grid(self):
         with pytest.raises(ValueError):
@@ -263,22 +335,22 @@ class TestWritersMatchPerValueReference:
             "scalar": np.float64(5e-324),
             "column": edge_column(_BLOCK_ROWS + 1).tolist(),
         }
-        assert emit_json(doc) == ref_emit_json(doc)
-        assert json.loads(emit_json(doc))["floats"] == EDGE_VALUES
+        assert json_text(doc) == ref_emit_json(doc)
+        assert json.loads(json_text(doc))["floats"] == EDGE_VALUES
 
-    @pytest.mark.parametrize("n", [0, 1, _BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("n", [0, 1, _BLOCK_ROWS + 1, 4 * _BLOCK_ROWS + 1])
     def test_float_array_writes_as_its_list(self, n):
         # the CLI passes its 1-D float64 arrays straight to emit_json
         col = edge_column(n)
         doc = {"sigma": col, "columns": [col, col[::-1]], "k": [1.0]}
         as_lists = {"sigma": col.tolist(),
                     "columns": [col.tolist(), col[::-1].tolist()], "k": [1.0]}
-        assert emit_json(doc) == ref_emit_json(as_lists)
+        assert json_text(doc) == ref_emit_json(as_lists)
 
     def test_other_arrays_still_rejected(self):
         for arr in (np.zeros((2, 2)), np.arange(3), np.zeros(3, dtype=np.float32)):
             with pytest.raises(TypeError):
-                emit_json({"a": arr})
+                json_text({"a": arr})
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_anywhere_rejected(self, bad):
@@ -290,13 +362,38 @@ class TestWritersMatchPerValueReference:
             with pytest.raises(ValueError, match=message):
                 sweep_csv(np.linspace(0.0, 1.0, rows), [1.0], [col])
             with pytest.raises(ValueError, match=message):
-                emit_json({"sigma": col.tolist()})
+                json_text({"sigma": col.tolist()})
             with pytest.raises(ValueError, match=message):
-                emit_json([[1.0, 2], col.tolist()])
+                json_text([[1.0, 2], col.tolist()])
             with pytest.raises(ValueError, match=message):
-                emit_json({"sigma": col})
+                json_text({"sigma": col})
             with pytest.raises(ValueError, match=message):
-                emit_json([[1.0, 2], col])
+                json_text([[1.0, 2], col])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_refusal_writes_no_file(self, tmp_path, bad):
+        # a non-finite value in the last block is refused before the file
+        # is opened, with fmt_real's error for the first one in row order
+        rows = 2 * _BLOCK_ROWS + 1
+        thetas = np.linspace(0.0, 1.0, rows)
+        early, late = edge_column(rows, 1), edge_column(rows, 2)
+        early[rows - 1] = -math.inf
+        late[rows - 2] = bad
+        with pytest.raises(ValueError) as want:
+            fmt_real(bad)
+        writers = {
+            "sweep.csv": lambda: sweep_csv(thetas, [1.0, 2.0], [early, late]),
+            "profile.csv": lambda: profile_csv(thetas, late, {(0, 0): early}),
+            "table.csv": lambda: table_csv(["n", "J_n"], [thetas, late]),
+            "sweep.json": lambda: emit_json({"theta": thetas,
+                                             "sigma_columns": [late, early]}),
+            "list.json": lambda: emit_json({"sigma": late.tolist()}),
+        }
+        for name, writer in writers.items():
+            with pytest.raises(ValueError) as got:
+                write_text(tmp_path / name, writer())
+            assert str(got.value) == str(want.value), name
+            assert not (tmp_path / name).exists(), name
 
 
 def ref_svg_points(xs, ys, x_range, y_range):
