@@ -14,6 +14,8 @@ A peak shifted to center c picks up exp(-i q_x c).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .model import (  # noqa: F401  (make_grating re-exported on purpose)
@@ -45,26 +47,46 @@ def ft_total_grid(spec: PotentialSpec, q_x: np.ndarray, q_y: np.ndarray):
 
     Peaks are folded in a canonical sorted order, so the result does not
     depend on how the peak list was assembled, bit for bit; values at
-    +-q_x are exact complex conjugates.
+    +-q_x are exact complex conjugates. Each peak adds ft*cos(a) to re
+    and subtracts ft*sin(a) from im, a = q_x*c.
+
+    The trig of a centre c is computed once and reused by every later
+    peak at c or at -c, then dropped after its last user. This gives the
+    same bits as computing it per peak because q_x*(-c) is exactly
+    -(q_x*c) and numpy's cos is even and sin odd bit for bit, so a
+    mirrored peak adds ft*sin(a) to im instead. numpy picks its trig
+    kernels per CPU, so the parity is not assumed: it is asserted by
+    tests/test_potentials.py::TestMirrorTrig::test_cos_even_sin_odd_bitwise.
     """
     q = np.hypot(q_x, q_y)
-    order = sorted(
-        range(len(spec.peaks)),
-        key=lambda i: (spec.peaks[i].center_x, spec.peaks[i].shape.variant,
-                       spec.peaks[i].shape.strength, spec.peaks[i].shape.width),
-    )
-    cache = {}
+    peaks = sorted(spec.peaks, key=lambda p: (p.center_x, p.shape.variant,
+                                              p.shape.strength, p.shape.width))
+    last_use = {abs(p.center_x): j for j, p in enumerate(peaks)}
+    fts = {}
+    trig = {}
     re = np.zeros_like(q)
     im = np.zeros_like(q)
-    for i in order:
-        p = spec.peaks[i]
-        ft = cache.get(p.shape)
+    term = np.empty_like(q)
+    for j, p in enumerate(peaks):
+        ft = fts.get(p.shape)
         if ft is None:
             ft = ft_peak(p.shape, q)
-            cache[p.shape] = ft
-        a = q_x * p.center_x
-        re = re + ft * np.cos(a)
-        im = im - ft * np.sin(a)
+            fts[p.shape] = ft
+        c = p.center_x
+        key = abs(c)
+        if key not in trig:
+            a = q_x * c
+            trig[key] = (math.copysign(1.0, c), np.cos(a), np.sin(a))
+        sign, cos_a, sin_a = trig[key]
+        if last_use[key] == j:
+            del trig[key]
+        np.multiply(ft, cos_a, out=term)
+        np.add(re, term, out=re)
+        np.multiply(ft, sin_a, out=term)
+        if math.copysign(1.0, c) == sign:
+            np.subtract(im, term, out=im)
+        else:
+            np.add(im, term, out=im)
     return re, im
 
 

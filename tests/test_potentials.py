@@ -126,6 +126,100 @@ class TestFtTotal:
         assert np.array_equal(re0, re1) and np.array_equal(im0, im1)
 
 
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def plain_fold(spec, q_x, q_y):
+    """Reference: the per-peak fold with no trig reuse, in the sorted order."""
+    q = np.hypot(q_x, q_y)
+    order = sorted(
+        range(len(spec.peaks)),
+        key=lambda i: (spec.peaks[i].center_x, spec.peaks[i].shape.variant,
+                       spec.peaks[i].shape.strength, spec.peaks[i].shape.width),
+    )
+    re = np.zeros_like(q)
+    im = np.zeros_like(q)
+    for i in order:
+        p = spec.peaks[i]
+        ft = ft_peak(p.shape, q)
+        a = q_x * p.center_x
+        re = re + ft * np.cos(a)
+        im = im - ft * np.sin(a)
+    return re, im
+
+
+def trig_arguments():
+    """+-0, subnormals, the dense_sweep range and magnitudes far past it,
+    so that every argument-reduction branch of the trig kernels runs."""
+    rng = np.random.default_rng(5)
+    tiny = np.finfo(float).tiny
+    parts = [
+        np.array([0.0, 5e-324, 1e-310, tiny, 2.0 * tiny, 1e-300, 1e-160,
+                  1e-8, 0.5, 1.0, math.pi / 4, math.pi / 2, math.pi, 2.0 * math.pi,
+                  1e5, 1e6, 2.0 ** 52, 1e22, 1e300, np.finfo(float).max]),
+        np.linspace(0.0, 400.0, 200_001),
+        np.logspace(-320, 6, 200_001),
+        np.logspace(6, 308, 20_001),
+        rng.uniform(0.0, 1e6, 200_001),
+        np.abs(rng.standard_normal(50_001)) * 10.0 ** rng.integers(-300, 300, 50_001),
+    ]
+    return np.concatenate(parts)
+
+
+class TestMirrorTrig:
+    """ft_total_grid reuses a centre's trig for the mirrored centre."""
+
+    def test_cos_even_sin_odd_bitwise(self):
+        a = trig_arguments()
+        assert same_bits(np.cos(-a), np.cos(a))
+        assert same_bits(np.sin(-a), -np.sin(a))
+        # short arrays and odd offsets run the kernels' tail paths
+        for n in range(1, 20):
+            for start in (0, 1, 3):
+                part = a[start:start + 997 * n:997]
+                assert same_bits(np.cos(-part), np.cos(part))
+                assert same_bits(np.sin(-part), -np.sin(part))
+
+    def test_negated_product_is_exact(self):
+        a = trig_arguments()
+        with np.errstate(over="ignore"):
+            for c in (0.25, 3.7, 1e-3, 123.456):
+                assert same_bits(a * -c, -(a * c))
+
+    @pytest.mark.parametrize("peaks", [
+        # symmetric 21-peak grating, as dense_sweep uses
+        make_grating(10, 1.37, PeakShape(GAUSSIAN, 0.8, 0.3)).peaks,
+        # asymmetric centres, no mirror partner
+        (Peak(-2.2, GAUSS11), Peak(0.7, GAUSS11), Peak(3.1, POLY11)),
+        # two shapes at one centre, and at its mirror
+        (Peak(-1.5, GAUSS11), Peak(-1.5, POLY11), Peak(1.5, POLY11), Peak(1.5, GAUSS11)),
+        # centres at 0.0 and -0.0
+        (Peak(0.0, GAUSS11), Peak(-0.0, POLY11), Peak(-0.0, GAUSS11), Peak(2.0, GAUSS11)),
+        # gaussian mixed with polynomial_gaussian, partly mirrored
+        (Peak(-3.0, GAUSS11), Peak(-1.0, POLY11), Peak(1.0, GAUSS11), Peak(3.0, POLY11),
+         Peak(4.0, GAUSS11)),
+        # negative strengths
+        (Peak(-2.0, PeakShape(GAUSSIAN, -1.3, 0.7)), Peak(2.0, PeakShape(GAUSSIAN, 2.1, 0.4)),
+         Peak(2.0, PeakShape(POLYNOMIAL_GAUSSIAN, -0.6, 1.1))),
+        # given unsorted, with repeats
+        (Peak(5.0, POLY11), Peak(-0.5, GAUSS11), Peak(-5.0, GAUSS11), Peak(0.5, POLY11),
+         Peak(-5.0, POLY11), Peak(0.0, GAUSS11), Peak(5.0, GAUSS11), Peak(0.5, POLY11)),
+    ])
+    def test_matches_plain_fold_bitwise(self, peaks):
+        rng = np.random.default_rng(9)
+        q_x = np.concatenate([np.linspace(-20.0, 20.0, 4001), [0.0, -0.0, 1e-300],
+                              rng.uniform(-1e3, 1e3, 999)])
+        q_y = rng.uniform(-3.0, 3.0, q_x.size)
+        q_y[:5] = 0.0
+        spec = PotentialSpec(peaks=tuple(peaks))
+        re, im = ft_total_grid(spec, q_x, q_y)
+        want_re, want_im = plain_fold(spec, q_x, q_y)
+        assert same_bits(re, want_re)
+        assert same_bits(im, want_im)
+
+
 class TestDirichletAmplitude:
     def test_center_value(self):
         assert dirichlet_amplitude(0.0, 10) == 21.0
