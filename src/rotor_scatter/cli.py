@@ -239,7 +239,7 @@ def cmd_profile(args) -> int:
                                for key, col in channels.items()}
         _write_json(run_dir / "profile.json", doc)
     if "svg" in formats:
-        title = f"{cfg.engine_variant}, k={output.fmt_real(cfg.beam.wavenumber)[:8]}"
+        title = f"{cfg.engine_variant}, k={output.fmt_label(cfg.beam.wavenumber)}"
         output.write_text(run_dir / "profile.svg",
                           [output.profile_svg([(cfg.engine_variant, profile)], title)])
     print(run_dir)
@@ -333,7 +333,7 @@ def cmd_compare(args) -> int:
     if "svg" in formats:
         for i, (k, pw, po) in enumerate(zip(k_values, with_profiles,
                                             without_profiles)):
-            title = f"k={output.fmt_real(k)[:8]}"
+            title = f"k={output.fmt_label(k)}"
             output.write_text(run_dir / f"compare_{i}.svg",
                               [output.profile_svg([("internal", pw),
                                                    ("structureless", po)], title)])

@@ -19,7 +19,10 @@ written. Both writers return string pieces for ``write_text``, so
 neither joins or encodes a whole document, and both refuse a
 non-finite value before the first piece is written. The SVG writers
 compute pixel coordinates over arrays, with the same IEEE operations in
-the same order as the scalar formula, and format each curve in one call.
+the same order as the scalar formula, keep per pixel column the M4
+points of each curve (first, lowest, highest, last), which draw the same
+polyline, and label axes, legend and titles with 6 significant digits.
+The SVG is a view; the CSV and JSON are the authoritative outputs.
 Every output byte is pinned by ``tests/output_sha256.json``.
 """
 
@@ -35,6 +38,7 @@ from .model import CrossSectionProfile
 __all__ = [
     "Column",
     "fmt_real",
+    "fmt_label",
     "fmt_table",
     "emit_json",
     "manifest_hash",
@@ -53,11 +57,21 @@ __all__ = [
 _BLOCK_ROWS = 512
 
 
-def fmt_real(x: float) -> str:
+def _finite(x: float) -> float:
     x = float(x)
     if math.isnan(x) or math.isinf(x):
         raise ValueError(f"cannot serialize non-finite value {x!r}")
-    return format(x, ".17g")
+    return x
+
+
+def fmt_real(x: float) -> str:
+    return format(_finite(x), ".17g")
+
+
+def fmt_label(x: float) -> str:
+    """A plot label: rounded to 6 significant digits, exponent and the
+    sign of a zero kept."""
+    return format(_finite(x), ".6g")
 
 
 def fmt_table(values, sep: str = ",") -> str:
@@ -277,6 +291,11 @@ _COLORS = ("#1f6feb", "#d1242f", "#2da44e", "#bf8700", "#8250df", "#57606a")
 
 
 def _svg_points(xs: np.ndarray, ys: np.ndarray, x_range, y_range) -> str:
+    """The polyline's points, reduced per pixel column by M4 (Jugel et al.,
+    PVLDB 7(10), 2014): of each run of consecutive points in one column
+    floor(px) keep the first, the last, the first lowest and the first
+    highest, in their order. The kept points draw the same polyline; a
+    curve with at most one point per column keeps every point."""
     x_lo, x_hi = x_range
     y_lo, y_hi = y_range
     x_span = (x_hi - x_lo) or 1.0
@@ -284,6 +303,20 @@ def _svg_points(xs: np.ndarray, ys: np.ndarray, x_range, y_range) -> str:
     # the scalar formula's operations in its order, so every point rounds alike
     px = _MARGIN + (xs - x_lo) / x_span * (_W - 2 * _MARGIN)
     py = _H - _MARGIN - (ys - y_lo) / y_span * (_H - 2 * _MARGIN)
+    col = np.floor(px)
+    new_run = np.concatenate(([True], col[1:] != col[:-1]))
+    starts = np.flatnonzero(new_run)
+    ends = np.append(starts[1:], px.size) - 1
+    run = np.cumsum(new_run) - 1
+    index = np.arange(px.size)
+    keep = np.zeros(px.size, dtype=bool)
+    keep[starts] = keep[ends] = True
+    for extreme in (np.minimum, np.maximum):
+        hit = py == extreme.reduceat(py, starts)[run]
+        first_hit = np.minimum.reduceat(np.where(hit, index, px.size), starts)
+        # a run with no hit (a NaN from an overflowing span) keeps its last point
+        keep[np.minimum(first_hit, ends)] = True
+    px, py = px[keep], py[keep]
     return (" ".join(["%.2f,%.2f"] * px.size)
             % tuple(np.column_stack((px, py)).ravel().tolist()))
 
@@ -318,12 +351,12 @@ def _svg_document(series: Iterable[Tuple[str, Sequence[float], Sequence[float]]]
           f'<line x1="{_MARGIN}" y1="{_MARGIN}" x2="{_MARGIN}" '
           f'y2="{_H - _MARGIN}" stroke="black"/>')
     parts.append(ax)
-    for label, x, anchor in ((fmt_real(x_lo)[:10], _MARGIN, "middle"),
-                             (fmt_real(x_hi)[:10], _W - _MARGIN, "middle")):
+    for label, x, anchor in ((fmt_label(x_lo), _MARGIN, "middle"),
+                             (fmt_label(x_hi), _W - _MARGIN, "middle")):
         parts.append(f'<text x="{x}" y="{_H - _MARGIN + 20}" text-anchor="{anchor}" '
                      f'font-family="sans-serif" font-size="11">{label}</text>')
-    for label, y in ((fmt_real(y_lo)[:10], _H - _MARGIN),
-                     (fmt_real(y_hi)[:10], _MARGIN + 4)):
+    for label, y in ((fmt_label(y_lo), _H - _MARGIN),
+                     (fmt_label(y_hi), _MARGIN + 4)):
         parts.append(f'<text x="{_MARGIN - 6}" y="{y}" text-anchor="end" '
                      f'font-family="sans-serif" font-size="11">{label}</text>')
     parts.append(f'<text x="{_W // 2}" y="{_H - 12}" text-anchor="middle" '
@@ -354,6 +387,6 @@ def profile_svg(profiles: Iterable[Tuple[str, CrossSectionProfile]],
 
 def sweep_svg(thetas: Sequence[float], k_values: Sequence[float],
               columns: Sequence[Sequence[float]], title: str) -> str:
-    series = [(f"k={fmt_real(k)[:8]}", thetas, col)
+    series = [(f"k={fmt_label(k)}", thetas, col)
               for k, col in zip(k_values, columns)]
     return _svg_document(series, "theta (rad)", "cross section", title)

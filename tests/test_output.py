@@ -396,33 +396,110 @@ class TestWritersMatchPerValueReference:
             assert not (tmp_path / name).exists(), name
 
 
-def ref_svg_points(xs, ys, x_range, y_range):
-    """The per-point scalar formula of the SVG writer."""
+def ref_svg_coords(xs, ys, x_range, y_range):
+    """The per-point scalar formula of the SVG writer: (px, py) floats."""
     (x_lo, x_hi), (y_lo, y_hi) = x_range, y_range
     x_span = (x_hi - x_lo) or 1.0
     y_span = (y_hi - y_lo) or 1.0
-    return " ".join(f"{54 + (x - x_lo) / x_span * 532:.2f},"
-                    f"{420 - 54 - (y - y_lo) / y_span * 312:.2f}"
-                    for x, y in zip(xs, ys))
+    return ([54 + (x - x_lo) / x_span * 532 for x in xs],
+            [420 - 54 - (y - y_lo) / y_span * 312 for y in ys])
+
+
+def ref_m4(px, py):
+    """Kept indices, pure Python: per run of consecutive points in one pixel
+    column, the first, the last, the first minimum and the first maximum of py."""
+    keep = set()
+    start = 0
+    for i in range(1, len(px) + 1):
+        if i == len(px) or math.floor(px[i]) != math.floor(px[start]):
+            idx = range(start, i)
+            keep.update((start, i - 1, min(idx, key=lambda j: py[j]),
+                         max(idx, key=lambda j: py[j])))
+            start = i
+    return sorted(keep)
+
+
+def svg_point_text(px, py, indices):
+    return " ".join(f"{px[i]:.2f},{py[i]:.2f}" for i in indices)
+
+
+def written_points(text, n):
+    """The points attribute of the n-th polyline."""
+    return text.split('<polyline')[n + 1].split('points="')[1].split('"')[0]
+
+
+def curve_points(xs, ys):
+    """(written points, scalar px, scalar py) of a one-curve sweep SVG;
+    unlike a profile, a sweep's x need not ascend."""
+    text = sweep_svg(xs, [1.0], [ys], "t")
+    rx = (min(xs), max(xs))
+    ry = (min(min(ys), 0.0), max(ys))
+    px, py = ref_svg_coords(xs, ys, rx, ry)
+    return written_points(text, 0), px, py
+
+
+def noisy_curve(n, rng):
+    ys = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.integers(-5, 6, n)
+    ys[::7] = -0.0
+    return ys.tolist()
 
 
 class TestSvgArrays:
     def test_points_match_scalar_formula(self):
+        # ~7.5 points per pixel column, so M4 drops most of them
         rng = np.random.default_rng(3)
-        xs = np.sort(rng.uniform(-1.6, 1.6, 4001))
-        ys = rng.uniform(0.0, 1.0, 4001) * 10.0 ** rng.integers(-5, 6, 4001)
-        ys[::7] = -0.0
-        rx = (float(xs.min()), float(xs.max()))
-        ry = (min(float(ys.min()), 0.0), float(ys.max()))
-        text = profile_svg([("r", CrossSectionProfile(thetas=xs, sigma=ys))], "t")
-        expected = ref_svg_points(xs.tolist(), ys.tolist(), rx, ry)
-        assert f'points="{expected}"' in text
+        xs = np.sort(rng.uniform(-1.6, 1.6, 4001)).tolist()
+        got, px, py = curve_points(xs, noisy_curve(4001, rng))
+        keep = ref_m4(px, py)
+        # each point written is the scalar formula at its kept source index
+        assert got == svg_point_text(px, py, keep)
+        assert len(got.split()) == len(keep) < 4001
+        columns = [math.floor(px[i]) for i in keep]
+        assert max(columns.count(c) for c in set(columns)) <= 4
+        # the extremes of the curve survive, so the drawn range is the same
+        assert {min(range(4001), key=py.__getitem__),
+                max(range(4001), key=py.__getitem__)} <= set(keep)
+
+    def test_one_point_per_column_keeps_every_point(self):
+        rng = np.random.default_rng(4)
+        xs = np.linspace(-1.5, 1.5, 400).tolist()
+        ys = noisy_curve(400, rng)
+        got, px, py = curve_points(xs, ys)
+        assert len({math.floor(x) for x in px}) == 400
+        assert got == svg_point_text(px, py, range(400))
+
+    def test_descending_x(self):
+        rng = np.random.default_rng(5)
+        xs = np.sort(rng.uniform(-1.6, 1.6, 3001))[::-1].tolist()
+        got, px, py = curve_points(xs, noisy_curve(3001, rng))
+        keep = ref_m4(px, py)
+        assert got == svg_point_text(px, py, keep)
+        columns = [math.floor(px[i]) for i in keep]
+        assert max(columns.count(c) for c in set(columns)) <= 4
+
+    def test_runs_not_columns(self):
+        # x doubles back into pixel column 54: each visit is its own run
+        xs = [0.0, 0.0003, 0.0006, 0.0009, 0.0012, 1.0,
+              0.0001, 0.0004, 0.0007, 0.001, 0.0013]
+        ys = [1.0, 5.0, 0.0, 2.0, 3.0, 4.0,
+              2.0, 2.0, 6.0, -1.0, 2.0]
+        got, px, py = curve_points(xs, ys)
+        assert ref_m4(px, py) == [0, 1, 2, 4, 5, 6, 8, 9, 10]
+        assert got == svg_point_text(px, py, [0, 1, 2, 4, 5, 6, 8, 9, 10])
 
     @pytest.mark.parametrize("col,label", [([-0.0, 1.0, 0.0], "-0"),
                                            ([0.0, 1.0, -0.0], "0")])
     def test_axis_label_keeps_first_zero_sign(self, col, label):
         text = sweep_svg([0.0, 0.5, 1.0], [1.0], [col], "zeros")
         assert f'text-anchor="end" font-family="sans-serif" font-size="11">{label}<' in text
+
+    @pytest.mark.parametrize("scale,top", [(1.2345678901234566e-07, "1.23457e-07"),
+                                           (8.6e22, "8.6e+22")])
+    def test_labels_round_and_keep_the_exponent(self, scale, top):
+        xs = [-0.5999999999999999, 0.0, 0.5999999999999999]
+        text = sweep_svg(xs, [1.0999999999999999], [[0.0, scale, 0.5 * scale]], "s")
+        labels = [t.split("<")[0] for t in text.split('font-size="11">')[1:]]
+        assert labels == ["-0.6", "0.6", "0", top, "k=1.1"]
 
 
 class TestPinnedBytes:
