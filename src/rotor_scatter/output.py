@@ -5,34 +5,70 @@ round-trips losslessly and repeated runs produce byte-identical files.
 The JSON writer is hand-rolled for the same reason: dict keys are sorted
 and float formatting is pinned rather than left to the stdlib default.
 
-Numbers are formatted an array at a time: ``fmt_table`` checks a whole
-array for finiteness once, then fills a template holding one ``%.17g``
-per value in a single ``%`` call, which prints exactly what ``fmt_real``
-prints per value. Each float vector a file holds is a ``Column``, whose
-text is formatted once, one ``fmt_table`` string per ``_BLOCK_ROWS``
-values, and shared: the CSV writers zip the split block texts of their
-columns into row blocks, and ``emit_json`` writes a column as an array
-by putting ``",\n" + indent`` between its values. The CLI hands the same
-``Column`` objects to both writers, so a value is formatted once for
-both files; the JSON writer drops a column's text once it has been
-written. Both writers return string pieces for ``write_text``, so
-neither joins or encodes a whole document, and both refuse a
-non-finite value before the first piece is written. The SVG writers
-compute pixel coordinates over arrays, with the same IEEE operations in
-the same order as the scalar formula, keep per pixel column the M4
-points of each curve (first, lowest, highest, last), which draw the same
-polyline, and label axes, legend and titles with 6 significant digits.
-The SVG is a view; the CSV and JSON are the authoritative outputs.
+``fmt_real`` is the reference: Python's ``%.17g``, an exact bignum
+conversion of one value. ``fmt_table`` prints the same text for a whole
+array with a numpy kernel, ``_CHUNK`` values at a time, that scales by a
+power of ten held to ~106 bits and certifies the rounding, as Ryu printf
+does (Adams, "Ryu revisited: printf floating point conversion", OOPSLA
+2019):
+
+- E0 = floor(log10 |x|). For E0 in [_E_LO, _E_HI] (|x| from about 1e-230
+  to 1e230) the power P = 10**(16 - E0) is held as ph = fl(P) and
+  pl = fl(P - ph), built from Python ints on first use. y = yh + yl
+  approximates |x|*P: yh = fl(|x|*ph), and yl is |x|*ph - yh (exact, by
+  the Dekker product ``specfun`` uses) plus fl(|x|*pl).
+- The bound: with u = 2**-53, |P - ph - pl| <= u*u*ph, fl(|x|*pl) is off
+  by at most u*u*|x|*ph and the sum that forms yl by 2*u*u*|x|*ph, so
+  |y - |x|*P| <= 4*u*u*|x|*ph*(1 + 2u), under 2**-47 for every value
+  accepted below (y < 10**17 < 2**57). The margin is d = 2**-46, and 0
+  where pl = 0: then P is a double and y is exact.
+- D = yh + rint(yl) in int64 (yh is an integer above 2**53) and
+  f = yl - rint(yl), so y = D + f exactly. A value is certified when
+  |f| < 1/2 - d, so |x|*P rounds to D; 10**16 <= D < 10**17; and D > 10**16
+  or f >= d, so |x|*P >= 10**16. The decade is thus settled from yh + yl,
+  also where log10 rounds across a power of ten (9.9999999999999997e+98,
+  9.9999999999999996e-39). D is then the 17 significant digits and E0
+  the exponent X.
+- Zeros are laid out directly. Every other value goes to ``fmt_real``:
+  out of range, 1e+20 (|x|*P is 10**16 within d), exact ties, and a
+  share of about 2d of the rest. So ``fmt_real`` stays: it is the one
+  exact conversion, and the kernel prints only what it would print.
+- Layout, by %.17g's rules: D's digits (four at a time from a lookup
+  table), |X| and the fillers fill a 32-byte source per value, and a key
+  of sign, notation and digit count (trailing zeros dropped) selects the
+  byte template: fixed notation for -4 <= X < 17, else d.ddde+XX with at
+  least two exponent digits, no bare point, "-0" for a negative zero. The
+  fixed-width cells are compacted and decoded once per chunk.
+
+Each float vector a file holds is a ``Column``, whose text, the values
+separated by newlines, comes from one ``fmt_table`` call and is shared:
+the CSV writers cut each block of ``_BLOCK_ROWS`` rows from the column
+texts at their newline offsets and join a row's cells with commas, in
+numpy, and ``emit_json`` writes a column as an array by putting
+``",\n" + indent`` between its values. The CLI hands the same ``Column``
+objects to both writers, so a value is formatted once for both files;
+the JSON writer drops a column's text once it has been written. Both
+writers return string pieces for ``write_text``, so neither joins or
+encodes a whole document, and both refuse a non-finite value before the
+first piece is written. The SVG writers compute pixel coordinates over
+arrays, with the same IEEE operations in the same order as the scalar
+formula, keep per pixel column the M4 points of each curve (first,
+lowest, highest, last), which draw the same polyline, and label axes,
+legend and titles with 6 significant digits; legend entries past the
+22nd wrap into further columns. The SVG is a view; the CSV and JSON are
+the authoritative outputs.
 Every output byte is pinned by ``tests/output_sha256.json``.
 """
 
+import functools
 import hashlib
 import math
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import specfun
 from .model import CrossSectionProfile
 
 __all__ = [
@@ -50,10 +86,8 @@ __all__ = [
     "write_text",
 ]
 
-# values per formatted block: bounds the Python floats and the template of one
-# fmt_table call, and the _BLOCK_ROWS x columns cell strings a CSV row block
-# splits into (at 2,048 rows the 101 columns of a k*alpha = 100 profile
-# split into ~15 MB of cells)
+# rows per CSV row block: bounds the bytes a block is cut from and built
+# in (a 101-column k*alpha = 100 profile cuts 512 x 101 cells at a time)
 _BLOCK_ROWS = 512
 
 
@@ -74,49 +108,220 @@ def fmt_label(x: float) -> str:
     return format(_finite(x), ".6g")
 
 
+# the formatting kernel (see the module docstring): values per chunk and
+# the widest text; the decimal exponents it handles, where every split
+# part and partial product of the Dekker product is a normal double far
+# from overflow; the certification margin d
+_CHUNK = 4096
+_NUMBER = 24  # len("-2.2250738585072014e-308")
+_E_LO, _E_HI = -230, 229
+_ROUND_MARGIN = 2.0 ** -46
+_NEWLINE = 10
+
+# a value's character source, _SOURCE bytes: the sign and the "0", "."
+# and "e" fillers, the 17 digits at 3..19 (four-digit groups from byte 4
+# on), the exponent's sign, and |X| as four digits at 24..27
+_SOURCE = 32
+_MINUS, _ZERO, _POINT, _DIGIT, _EXP, _EXP_SIGN, _EXP_DIGITS = 0, 1, 2, 3, 20, 21, 24
+# layout classes: fixed notation for X = -4..16, then 2- and 3-digit exponents
+_CLASSES = 23
+_NEGATIVE_KEYS = _CLASSES * 17
+
+
+class _Tables(NamedTuple):
+    power: np.ndarray      # per E0: ph, pl, the split of ph, the margin
+    exp_word: np.ndarray   # per E0: |X| as four ASCII digits in a uint32
+    exp_sign: np.ndarray   # per E0: "-" or "+"
+    key_base: np.ndarray   # per E0: the layout key of a positive 1-digit value
+    digits4: np.ndarray    # the four ASCII digits of 0..9999 in a uint32
+    zeros4: np.ndarray     # trailing zeros of 0..9999 written with four digits
+    template: np.ndarray   # per layout key: the source byte of each text byte
+    length: np.ndarray     # per layout key: the text length
+    rows: np.ndarray       # _SOURCE times the row number, one column
+
+
+def _layout(negative: bool, cls: int, nsig: int) -> List[int]:
+    """Source bytes of the %.17g text of a layout key: fixed notation,
+    or d.ddd and an exponent; nsig digits, trailing zeros dropped."""
+    digit = [_DIGIT + k for k in range(17)]
+    out = [_MINUS] if negative else []
+    if cls < 21:
+        x = cls - 4
+        if x < 0:
+            out += [_ZERO, _POINT] + [_ZERO] * (-x - 1) + digit[:nsig]
+        else:
+            out += digit[:x + 1]
+            if nsig > x + 1:
+                out += [_POINT] + digit[x + 1:nsig]
+    else:
+        out += digit[:1]
+        if nsig > 1:
+            out += [_POINT] + digit[1:nsig]
+        width = 2 if cls == 21 else 3
+        out += [_EXP, _EXP_SIGN] + list(range(_EXP_DIGITS + 4 - width, _EXP_DIGITS + 4))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _tables() -> _Tables:
+    """The kernel's constants, built from Python ints on first use."""
+    ph, pl = [], []
+    for e0 in range(_E_LO, _E_HI + 1):
+        k = 16 - e0  # 10**k scales a value of decade e0 to 17 digits
+        if k >= 0:
+            hi = float(10 ** k)
+            lo = float(10 ** k - int(hi))
+        else:
+            q = 10 ** -k
+            hi = 1 / q  # int / int rounds correctly
+            num, den = hi.as_integer_ratio()
+            lo = (den - num * q) / (q * den)
+        ph.append(hi)
+        pl.append(lo)
+    ph, pl = np.array(ph), np.array(pl)
+    ph_hi, ph_lo, scratch = np.empty_like(ph), np.empty_like(ph), np.empty_like(ph)
+    specfun._split_to(ph, ph_hi, ph_lo, scratch)
+    margin = np.where(pl == 0.0, 0.0, _ROUND_MARGIN)  # pl == 0: y is exact
+    digits = (np.indices((10,) * 4).reshape(4, -1).T + ord("0")).astype(np.uint8, order="C")
+    digits4 = digits.view(np.uint32).ravel()  # row v: the digits of v, 0 <= v < 10**4
+    is_zero = digits[:, ::-1] == ord("0")
+    e0 = np.arange(_E_LO, _E_HI + 1)
+    cls = np.where((e0 >= -4) & (e0 < 17), e0 + 4, np.where(abs(e0) < 100, 21, 22))
+    layouts = [_layout(negative, c, nsig) for negative in (False, True)
+               for c in range(_CLASSES) for nsig in range(1, 18)]
+    template = np.full((len(layouts), _NUMBER), _SOURCE - 1, dtype=np.uint8)
+    for row, layout in zip(template, layouts):
+        row[:len(layout)] = layout
+    return _Tables(
+        power=np.stack([ph, pl, ph_hi, ph_lo, margin], axis=1),
+        exp_word=digits4[abs(e0)],
+        exp_sign=np.where(e0 < 0, ord("-"), ord("+")).astype(np.uint8),
+        key_base=cls * 17,
+        digits4=digits4,
+        zeros4=np.logical_and.accumulate(is_zero, axis=1).sum(axis=1, dtype=np.uint8),
+        template=template,
+        length=np.array([len(layout) for layout in layouts], dtype=np.uint8),
+        rows=np.arange(0, _CHUNK * _SOURCE, _SOURCE)[:, None])
+
+
+def _format_cells(x: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Write the %.17g text of each finite value of x (at most _CHUNK)
+    left-aligned into cells[:, :_NUMBER]; return the text lengths."""
+    t = _tables()
+    m = x.size
+    ax = np.abs(x)
+    with np.errstate(divide="ignore"):
+        e0 = np.floor(np.log10(ax))  # -inf for a zero
+    clipped = np.clip(e0, _E_LO, _E_HI)
+    inside = clipped == e0
+    zero = x == 0.0
+    clipped[zero] = 0.0
+    i = (clipped - _E_LO).astype(np.intp)
+    ax[~inside] = 0.0
+    ph, pl, ph_hi, ph_lo, margin = t.power[i].T
+    # y = yh + yl: |x| * 10**(16 - e0), within 2**-47 (module docstring)
+    yh = ax * ph
+    ah, al, yl, w = (np.empty_like(ax) for _ in range(4))
+    specfun._split_to(ax, ah, al, w)
+    specfun._prod_err_to(ah, al, ph_hi, ph_lo, yh, yl, w)  # yh + yl = ax*ph
+    yl += ax * pl
+    r = np.rint(yl)
+    yl -= r  # the fraction: y = d + yl
+    d = yh.astype(np.int64) + r.astype(np.int64)
+    ok = (inside & (np.abs(yl) < 0.5 - margin) & (d >= 10 ** 16) & (d < 10 ** 17)
+          & ((d > 10 ** 16) | (yl >= margin))) | zero
+    # the character source: fillers, the 17 digits of d, the exponent
+    src = np.empty((m, _SOURCE), dtype=np.uint8)
+    src[:, :_DIGIT] = np.frombuffer(b"-0.", dtype=np.uint8)
+    src[:, _EXP] = ord("e")
+    high, low = np.divmod(d, 10 ** 8)
+    lead, high = np.divmod(high, 10 ** 8)
+    groups = (*np.divmod(high, 10 ** 4), *np.divmod(low, 10 ** 4))
+    words = src.view(np.uint32)
+    for k, g in enumerate(groups):
+        words[:, 1 + k] = t.digits4[g]
+    words[:, _EXP_DIGITS // 4] = t.exp_word[i]
+    src[:, _DIGIT] = lead + ord("0")
+    src[:, _EXP_SIGN] = t.exp_sign[i]
+    # trailing zeros of the 16 digits after the lead, a group at a time
+    g1, g2, g3, g4 = groups
+    zeros = t.zeros4[g4] + (g4 == 0) * (t.zeros4[g3] + (g3 == 0) * (
+        t.zeros4[g2] + (g2 == 0) * t.zeros4[g1]))
+    key = t.key_base[i] + 16 - zeros.astype(np.intp)
+    key[np.signbit(x)] += _NEGATIVE_KEYS
+    index = t.rows[:m] + t.template[key]
+    cells[:, :_NUMBER] = np.take(src.ravel(), index)
+    length = t.length[key]
+    for j in np.flatnonzero(~ok):
+        text = fmt_real(x[j]).encode()
+        cells[j, :len(text)] = np.frombuffer(text, dtype=np.uint8)
+        length[j] = len(text)
+    return length
+
+
 def fmt_table(values, sep: str = ",") -> str:
     """``fmt_real`` of every value of a 1-D or 2-D array, joined by sep
     within a row and by newlines between rows.
 
-    One finiteness check covers the array, and one ``%`` call with a
-    ``%.17g`` per value formats it, which prints what ``fmt_real`` prints;
-    sep goes into that template, so it must not contain ``%``. A
-    non-finite value raises ``fmt_real``'s error for the first one in row
-    order.
+    One finiteness check covers the array; a non-finite value raises
+    ``fmt_real``'s error for the first one in row order. The values are
+    then formatted ``_CHUNK`` at a time by the kernel of the module
+    docstring, which prints what ``fmt_real`` prints; sep may be any
+    string.
     """
     arr = np.asarray(values, dtype=float)
     rows = arr if arr.ndim == 2 else arr.reshape(1, -1)
     finite = np.isfinite(rows)
     if not finite.all():
         fmt_real(rows.flat[np.argmin(finite)])
-    template = "\n".join([sep.join(["%.17g"] * rows.shape[1])] * rows.shape[0])
-    return template % tuple(rows.ravel().tolist())
+    if rows.size == 0:
+        return "\n" * max(rows.shape[0] - 1, 0)
+    flat = rows.ravel()
+    sep_bytes = np.frombuffer(sep.encode("utf-8"), dtype=np.uint8)
+    # a cell per value: its text in the first _NUMBER bytes, then what
+    # follows it: sep, a newline at a row end, nothing after the last value
+    width = _NUMBER + max(sep_bytes.size, 1)
+    column = np.arange(width, dtype=np.min_scalar_type(width))
+    text = []
+    for s in range(0, flat.size, _CHUNK):
+        x = flat[s:s + _CHUNK]
+        cells = np.empty((x.size, width), dtype=np.uint8)
+        length = _format_cells(x, cells)
+        cells[:, _NUMBER:_NUMBER + sep_bytes.size] = sep_bytes
+        row_end = np.arange(s + 1, s + 1 + x.size) % rows.shape[1] == 0
+        cells[row_end, _NUMBER] = _NEWLINE
+        tail = np.where(row_end, 1, sep_bytes.size).astype(column.dtype)
+        if s + x.size == flat.size:
+            tail[-1] = 0
+        keep = np.empty(cells.shape, dtype=bool)
+        np.less(column[:_NUMBER], length[:, None], out=keep[:, :_NUMBER])
+        np.less(column[_NUMBER:] - _NUMBER, tail[:, None], out=keep[:, _NUMBER:])
+        text.append(str(cells[keep], "utf-8"))
+    return "".join(text)
 
 
 class Column:
     """A float vector of an output file, formatted at most once.
 
-    ``blocks()`` is its ``fmt_real`` text: one string per ``_BLOCK_ROWS``
-    values, the values separated by newlines. It is kept until ``drop()``,
-    so every writer handed the same column reuses it.
+    ``text()`` is its ``fmt_real`` text, the values separated by newlines,
+    from one ``fmt_table`` call. It is kept until ``drop()``, so every
+    writer handed the same column reuses it.
     """
 
     def __init__(self, values):
         self.values = np.asarray(values, dtype=float)
-        self._blocks: Optional[List[str]] = None
+        self._text: Optional[str] = None
 
     def __len__(self) -> int:
         return len(self.values)
 
-    def blocks(self) -> List[str]:
-        if self._blocks is None:
-            v = self.values
-            self._blocks = [fmt_table(v[s:s + _BLOCK_ROWS], sep="\n")
-                            for s in range(0, len(v), _BLOCK_ROWS)]
-        return self._blocks
+    def text(self) -> str:
+        if self._text is None:
+            self._text = fmt_table(self.values, sep="\n")
+        return self._text
 
     def drop(self) -> None:
-        self._blocks = None
+        self._text = None
 
 
 def _column(values) -> Column:
@@ -156,7 +361,7 @@ def _json_pieces(out: List) -> Iterator[str]:
             yield piece
             continue
         column, sep = piece
-        text = "\n".join(column.blocks()).replace("\n", sep)
+        text = column.text().replace("\n", sep)
         column.drop()
         yield text
 
@@ -244,22 +449,54 @@ def table_csv(header: List[str], columns: Sequence) -> Iterator[str]:
     """Header plus one row per index of the equal-length columns.
 
     Every column is checked and formatted before this returns; the row
-    blocks are zipped from the column blocks as the pieces are taken.
+    blocks are built from the column texts as the pieces are taken.
     """
     columns = [_column(col) for col in columns]
     n = len(columns[0])
     if any(len(col) != n for col in columns):
         raise ValueError("every column must have one value per theta")
     _refuse_non_finite(columns)
-    blocks = [col.blocks() for col in columns]
-    return _csv_pieces(",".join(header), blocks)
+    return _csv_pieces(",".join(header), [col.text() for col in columns], n)
 
 
-def _csv_pieces(header: str, blocks: List[List[str]]) -> Iterator[str]:
+def _csv_pieces(header: str, texts: List[str], n: int) -> Iterator[str]:
     yield header + "\n"
-    for row_block in zip(*blocks):
-        cells = zip(*[text.split("\n") for text in row_block])
-        yield "\n".join(map(",".join, cells)) + "\n"
+    starts = np.zeros(len(texts), dtype=np.int64)  # each column's next value
+    for s in range(0, n, _BLOCK_ROWS):
+        yield _row_block(texts, starts, min(_BLOCK_ROWS, n - s))
+
+
+def _row_block(texts: List[str], starts: np.ndarray, rows: int) -> str:
+    """The CSV lines of the next ``rows`` values of every column; moves
+    ``starts`` past them.
+
+    Each column's next ``rows`` values, newline-terminated, fit in
+    ``rows * (_NUMBER + 1)`` characters. Those windows are copied into
+    one byte array, and every value is cut from it at the offset of the
+    newline before it, in row order.
+    """
+    span = rows * (_NUMBER + 1)
+    stride = span + _NUMBER + 1  # room to cut a full cell from the last value
+    buf = np.zeros((len(texts), stride), dtype=np.uint8)
+    for j, text in enumerate(texts):
+        window = text[starts[j]:starts[j] + span].encode()
+        buf[j, :len(window)] = np.frombuffer(window, dtype=np.uint8)
+        buf[j, len(window)] = _NEWLINE  # ends a column's last value
+    is_newline = buf == _NEWLINE
+    per_column = is_newline.sum(axis=1)
+    first = np.cumsum(per_column) - per_column  # each column's first newline
+    ends = np.flatnonzero(is_newline)[first[:, None] + np.arange(rows)]
+    begins = np.empty_like(ends)
+    begins[:, 0] = np.arange(len(texts)) * stride
+    begins[:, 1:] = ends[:, :-1] + 1
+    starts += ends[:, -1] + 1 - begins[:, 0]
+    lengths = (ends - begins).T.astype(np.uint8)  # (rows, columns)
+    width = int(lengths.max()) + 1
+    cells = np.lib.stride_tricks.sliding_window_view(buf.ravel(), width)[begins.T]
+    # each cell ends in its newline; all but a row's last become commas
+    cells[np.arange(rows)[:, None], np.arange(len(texts) - 1), lengths[:, :-1]] = ord(",")
+    keep = np.arange(width, dtype=np.uint8) <= lengths[..., None]
+    return str(cells[keep], "ascii")
 
 
 def profile_csv(thetas, sigma,
@@ -287,6 +524,7 @@ def write_text(path: Path, pieces: Iterable[str]) -> None:
 
 # fixed canvas for the optional plots; CSV remains the authoritative output
 _W, _H, _MARGIN = 640, 420, 54
+_LEGEND_ROWS = 22  # legend baselines at 70, 86, ..., 406 px
 _COLORS = ("#1f6feb", "#d1242f", "#2da44e", "#bf8700", "#8250df", "#57606a")
 
 
@@ -364,16 +602,19 @@ def _svg_document(series: Iterable[Tuple[str, Sequence[float], Sequence[float]]]
     parts.append(f'<text x="16" y="{_H // 2}" text-anchor="middle" '
                  f'font-family="sans-serif" font-size="13" '
                  f'transform="rotate(-90 16 {_H // 2})">{y_label}</text>')
+    # legend columns of _LEGEND_ROWS entries, the later ones further left
+    columns = -(-len(series) // _LEGEND_ROWS)
+    step = min(150, (_W - 2 * _MARGIN - 150) // max(columns - 1, 1))
     for i, (name, xs, ys) in enumerate(series):
         color = _COLORS[i % len(_COLORS)]
         pts = _svg_points(xs, ys, (x_lo, x_hi), (y_lo, y_hi))
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
                      f'points="{pts}"/>')
-        ly = _MARGIN + 16 + 16 * i
-        parts.append(f'<line x1="{_W - _MARGIN - 150}" y1="{ly - 4}" '
-                     f'x2="{_W - _MARGIN - 126}" y2="{ly - 4}" '
+        lx = _W - _MARGIN - 150 - step * (i // _LEGEND_ROWS)
+        ly = _MARGIN + 16 + 16 * (i % _LEGEND_ROWS)
+        parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 24}" y2="{ly - 4}" '
                      f'stroke="{color}" stroke-width="1.5"/>')
-        parts.append(f'<text x="{_W - _MARGIN - 120}" y="{ly}" '
+        parts.append(f'<text x="{lx + 30}" y="{ly}" '
                      f'font-family="sans-serif" font-size="11">{name}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from rotor_scatter import output
 from rotor_scatter.model import CrossSectionProfile
 from rotor_scatter.output import (
     _BLOCK_ROWS,
+    _CHUNK,
     Column,
     emit_json,
     fmt_table,
@@ -120,6 +122,7 @@ class TestFmtTable:
         assert fmt_table(EDGE_VALUES) == ref_table(EDGE_VALUES)
         assert fmt_table(np.array(EDGE_VALUES), sep=",\n  ") == \
             ref_table(EDGE_VALUES, sep=",\n  ")
+        assert fmt_table(EDGE_VALUES, sep="%s,%%d") == ref_table(EDGE_VALUES, sep="%s,%%d")
         table = [EDGE_VALUES[:5], EDGE_VALUES[5:10], EDGE_VALUES[10:15]]
         assert fmt_table(np.array(table)) == ref_table(table)
         assert fmt_table([]) == ""
@@ -140,6 +143,65 @@ class TestFmtTable:
             fmt_real(bad)
         assert str(got.value) == str(want.value)
         assert str(got.value).startswith("cannot serialize non-finite value ")
+
+
+def powers_of_ten_and_neighbours():
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    return np.concatenate([powers, np.nextafter(powers, 0.0),
+                           np.nextafter(powers, np.inf)])
+
+
+def kernel_range_ends():
+    ends = np.array([10.0 ** output._E_LO, 10.0 ** (output._E_HI + 1)])
+    return np.concatenate([ends, np.nextafter(ends, 0.0), np.nextafter(ends, np.inf)])
+
+
+# the values where a kernel that settles the decade from yh alone, or that
+# trusts log10 near a power of ten, would print a wrong text
+TRAPS = [9.9999999999999997e+98, 9.9999999999999996e-39, 1e+20]
+
+EXACT_CORPUS = {
+    "zeros_and_subnormal": [0.0, -0.0, 5e-324, -5e-324],
+    "normal_ends": [2.2250738585072014e-308, 1.7976931348623157e308,
+                    -2.2250738585072014e-308, -1.7976931348623157e308],
+    "powers_of_ten": powers_of_ten_and_neighbours(),
+    "integers": np.concatenate([2.0 ** 53 + np.arange(-4, 5),
+                                1e16 + np.arange(-64, 65),
+                                1e17 + 16 * np.arange(-64, 65)]),
+    "kernel_range_ends": kernel_range_ends(),
+    "traps": TRAPS + [-v for v in TRAPS],
+}
+
+
+class TestFmtTableExact:
+    """fmt_table against fmt_real where a fixed-precision conversion can
+    go wrong; the per-value reference is the exact dtoa."""
+
+    @pytest.mark.parametrize("name", sorted(EXACT_CORPUS))
+    def test_corpus_matches_fmt_real(self, name):
+        values = np.asarray(EXACT_CORPUS[name], dtype=float)
+        assert fmt_table(values, sep="\n").split("\n") == \
+            [fmt_real(v) for v in values.tolist()]
+
+    @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=64))
+    def test_bit_patterns_match_fmt_real(self, patterns):
+        values = np.array(patterns, dtype=np.uint64).view(np.float64)
+        values = values[np.isfinite(values)]
+        assert fmt_table(values) == ref_table(values.tolist())
+
+    def test_exact_path_only_where_uncertified(self, monkeypatch):
+        calls = []
+        real_fmt_real = output.fmt_real
+        monkeypatch.setattr(output, "fmt_real",
+                            lambda x: calls.append(x) or real_fmt_real(x))
+        outside = [10.0 ** (output._E_LO - 1), 10.0 ** (output._E_HI + 2), 5e-324]
+        assert fmt_table([1e20, 0.5, -0.0, *outside]) == \
+            ref_table([1e20, 0.5, -0.0, *outside])
+        assert calls == [1e20, *outside]
+        calls.clear()
+        thetas = np.linspace(-np.pi / 2, np.pi / 2, 20001)
+        assert fmt_table(thetas, sep="\n") == ref_table(thetas.tolist(), sep="\n")
+        assert calls == []
 
 
 class TestEmitJson:
@@ -230,11 +292,26 @@ class TestSvg:
         text = sweep_svg(th, [1.0, 2.0], cols, "sweep")
         assert text.count("<polyline") == 2
 
+    def test_every_legend_entry_on_the_canvas(self):
+        # 40 k values, as in a dense sweep: the legend wraps into columns
+        ks = [0.25 * i for i in range(1, 41)]
+        th = np.linspace(-1.0, 1.0, 9)
+        text = sweep_svg(th, ks, [np.cos(k * th) ** 2 for k in ks], "sweep")
+        for k in ks:
+            assert f">k={k:g}</text>" in text
+        coords = [float(v) for v in re.findall(r' (?:x|x1|x2)="([-0-9.]+)"', text)]
+        assert coords and all(0 <= x <= 640 for x in coords)
+        coords = [float(v) for v in re.findall(r' (?:y|y1|y2)="([-0-9.]+)"', text)]
+        assert coords and all(0 <= y <= 420 for y in coords)
+
 
 # row counts around one formatting block, and four blocks with and without
 # a one-row tail
 BLOCK_EDGES = [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
                4 * _BLOCK_ROWS, 4 * _BLOCK_ROWS + 1]
+# value counts around one chunk of the formatting kernel, and three chunks
+# with a tail
+CHUNK_EDGES = [_CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7]
 
 
 class TestWritersMatchPerValueReference:
@@ -244,6 +321,16 @@ class TestWritersMatchPerValueReference:
         columns = [edge_column(rows, s) for s in range(3)]
         ks = [0.25, 1.0, 1e-300]
         assert sweep_text(thetas, ks, columns) == ref_sweep_csv(thetas, ks, columns)
+
+    @pytest.mark.parametrize("n", CHUNK_EDGES)
+    def test_column_across_chunk_boundary(self, n):
+        # one Column through both writers, against the per-value reference
+        values = edge_column(n, 7)
+        thetas = np.linspace(-1.5, 1.5, n)
+        column = Column(values)
+        assert sweep_text(thetas, [2.0], [column]) == \
+            ref_sweep_csv(thetas, [2.0], [values])
+        assert json_text({"sigma": column}) == ref_emit_json({"sigma": values.tolist()})
 
     def test_sweep_csv_integer_list_entries(self):
         thetas = [0, 0.5, 1]
@@ -372,13 +459,17 @@ class TestWritersMatchPerValueReference:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_refusal_writes_no_file(self, tmp_path, bad):
-        # a non-finite value in the last block is refused before the file
-        # is opened, with fmt_real's error for the first one in row order
+        # a non-finite value in the last block or chunk is refused before
+        # the file is opened, with fmt_real's error for the first one in
+        # row order
         rows = 2 * _BLOCK_ROWS + 1
         thetas = np.linspace(0.0, 1.0, rows)
         early, late = edge_column(rows, 1), edge_column(rows, 2)
         early[rows - 1] = -math.inf
         late[rows - 2] = bad
+        # and in the last formatting chunk of a longer column
+        long = edge_column(3 * _CHUNK + 7, 3)
+        long[3 * _CHUNK + 2] = bad
         with pytest.raises(ValueError) as want:
             fmt_real(bad)
         writers = {
@@ -388,6 +479,8 @@ class TestWritersMatchPerValueReference:
             "sweep.json": lambda: emit_json({"theta": thetas,
                                              "sigma_columns": [late, early]}),
             "list.json": lambda: emit_json({"sigma": late.tolist()}),
+            "long.csv": lambda: table_csv(["n", "J_n"], [np.arange(long.size), long]),
+            "long.json": lambda: emit_json({"values": Column(long)}),
         }
         for name, writer in writers.items():
             with pytest.raises(ValueError) as got:
