@@ -179,8 +179,8 @@ def _tables() -> _Tables:
         ph.append(hi)
         pl.append(lo)
     ph, pl = np.array(ph), np.array(pl)
-    ph_hi, ph_lo, scratch = np.empty_like(ph), np.empty_like(ph), np.empty_like(ph)
-    specfun._split_to(ph, ph_hi, ph_lo, scratch)
+    ph_hi, ph_lo, work = np.empty_like(ph), np.empty_like(ph), np.empty_like(ph)
+    specfun._split_to(ph, ph_hi, ph_lo, work)
     margin = np.where(pl == 0.0, 0.0, _ROUND_MARGIN)  # pl == 0: y is exact
     digits = (np.indices((10,) * 4).reshape(4, -1).T + ord("0")).astype(np.uint8, order="C")
     digits4 = digits.view(np.uint32).ravel()  # row v: the digits of v, 0 <= v < 10**4
