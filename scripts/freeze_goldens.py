@@ -12,10 +12,11 @@ import pathlib
 import sys
 import tempfile
 
+from regenerate_figures import CONFIG_DIR, RUNS
 from rotor_scatter.cli import main as cli_main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-SWEEP_STEMS = ["fig2_d2", "fig2_d6", "fig3_n1", "fig3_n2", "fig3_n10"]
+SWEEP_STEMS = [stem for stem, sub in RUNS if sub == "sweep"]
 
 
 def run_dir_of(out_root: pathlib.Path, subcommand: str) -> pathlib.Path:
@@ -29,7 +30,7 @@ def main() -> int:
     goldens = {"fig4": None, "sweep_sha256": {}}
     with tempfile.TemporaryDirectory() as scratch:
         out = pathlib.Path(scratch) / "fig4"
-        code = cli_main(["compare", "--config", str(ROOT / "configs/fig4.json"),
+        code = cli_main(["compare", "--config", str(CONFIG_DIR / "fig4.json"),
                          "--out", str(out), "--format", "json"])
         if code != 0:
             return code
@@ -39,7 +40,7 @@ def main() -> int:
         for stem in SWEEP_STEMS:
             out = pathlib.Path(scratch) / stem
             code = cli_main(["sweep", "--config",
-                             str(ROOT / f"configs/{stem}.json"),
+                             str(CONFIG_DIR / f"{stem}.json"),
                              "--out", str(out), "--format", "csv"])
             if code != 0:
                 return code

@@ -7,7 +7,6 @@ their midpoint, which keeps the answer deterministic on symmetric grids.
 """
 
 import math
-from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
@@ -18,14 +17,11 @@ __all__ = [
     "AnalysisError",
     "ResolutionError",
     "UndefinedRatioError",
-    "FringeReport",
     "visibility",
     "peak_spacing",
     "require_samples",
-    "suppression_ratio",
     "visibility_ratio",
     "fringe_window",
-    "fringe_report",
 ]
 
 # fewer samples cannot support extremum classification at fringe scale
@@ -42,24 +38,6 @@ class ResolutionError(AnalysisError):
 
 class UndefinedRatioError(AnalysisError):
     """Comparison baseline has zero fringe contrast."""
-
-
-@dataclass(frozen=True)
-class FringeReport:
-    visibility: float
-    peak_thetas: Tuple[float, ...]
-    mean_spacing: float
-    window: Tuple[float, float]
-
-    def __post_init__(self):
-        if not 0.0 <= self.visibility <= 1.0:
-            raise ValueError("visibility must lie in [0, 1]")
-        if any(b <= a for a, b in zip(self.peak_thetas, self.peak_thetas[1:])):
-            raise ValueError("peak_thetas must be strictly ascending")
-        if not self.mean_spacing > 0.0:
-            raise ValueError("mean_spacing must be > 0")
-        if not self.window[0] < self.window[1]:
-            raise ValueError("window must satisfy lo < hi")
 
 
 def _run_extrema(values: np.ndarray) -> Tuple[List[int], List[int]]:
@@ -80,17 +58,15 @@ def _run_extrema(values: np.ndarray) -> Tuple[List[int], List[int]]:
     return maxima.tolist(), minima.tolist()
 
 
-def _window_slice(profile: CrossSectionProfile, window) -> Tuple[np.ndarray, np.ndarray]:
+def _window_values(profile: CrossSectionProfile, window) -> np.ndarray:
     lo, hi = float(window[0]), float(window[1])
     if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
         raise AnalysisError(f"window ({lo}, {hi}) is empty")
-    mask = (profile.thetas >= lo) & (profile.thetas <= hi)
-    thetas = profile.thetas[mask]
-    values = profile.sigma[mask]
+    values = profile.sigma[(profile.thetas >= lo) & (profile.thetas <= hi)]
     if values.size < MIN_WINDOW_SAMPLES:
         raise AnalysisError(
             f"window holds {values.size} samples, need >= {MIN_WINDOW_SAMPLES}")
-    return thetas, values
+    return values
 
 
 def visibility(profile: CrossSectionProfile, window) -> float:
@@ -99,7 +75,7 @@ def visibility(profile: CrossSectionProfile, window) -> float:
     Returns 0.0 when the window contains no interior maximum or no interior
     minimum: an envelope without oscillation has no fringes to grade.
     """
-    _, values = _window_slice(profile, window)
+    values = _window_values(profile, window)
     if not values.any():
         raise AnalysisError("profile is identically zero inside the window")
     maxima, minima = _run_extrema(values)
@@ -168,28 +144,3 @@ def visibility_ratio(vis_with: float, vis_without: float) -> float:
         raise UndefinedRatioError(
             "reference profile has zero visibility, ratio is undefined")
     return vis_with / vis_without
-
-
-def suppression_ratio(with_internal: CrossSectionProfile,
-                      without: CrossSectionProfile, window) -> float:
-    """Visibility of the structured target over its point-particle twin."""
-    if not np.array_equal(with_internal.thetas, without.thetas):
-        raise AnalysisError("profiles are sampled on different theta grids")
-    return visibility_ratio(visibility(with_internal, window),
-                            visibility(without, window))
-
-
-def fringe_report(profile: CrossSectionProfile, window) -> FringeReport:
-    """Bundle contrast, peak positions, and mean spacing for one window."""
-    thetas, values = _window_slice(profile, window)
-    vis = visibility(profile, window)
-    maxima, _ = _run_extrema(values)
-    if len(maxima) < 2:
-        raise ResolutionError(
-            f"found {len(maxima)} interior maxima in the window, "
-            "need >= 2 to report a spacing")
-    peaks = tuple(float(thetas[i]) for i in maxima)
-    spacing = float(np.mean(np.diff(np.array(peaks))))
-    return FringeReport(visibility=vis, peak_thetas=peaks,
-                        mean_spacing=spacing,
-                        window=(float(window[0]), float(window[1])))

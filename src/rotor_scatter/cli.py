@@ -132,34 +132,40 @@ def _closed_params(cfg: Config) -> Dict[str, float]:
     variant = cfg.engine_variant
     states = [l for l, _ in cfg.beam.sorted_states()]
     if states != [0]:
-        raise CliError("closed engines require a pure l = 0 beam", 1)
+        raise ConfigError([("beam.amplitudes",
+                            "closed engines require a pure l = 0 beam")])
     peaks = cfg.potential.peaks
     if variant.endswith("grating"):
         if cfg.grating is None:
-            raise CliError("closed grating engines need potential.kind "
-                           "= 'grating'", 1)
+            raise ConfigError([("potential.kind", "closed grating engines "
+                                "need potential.kind = 'grating'")])
         shape = peaks[0].shape
         if shape.variant != GAUSSIAN:
-            raise CliError("closed grating engines support Gaussian peaks "
-                           "only", 1)
+            raise ConfigError([("potential.grating.shape.variant",
+                                "closed grating engines support Gaussian "
+                                "peaks only")])
         half_count, spacing = cfg.grating
         return {"v0": shape.strength, "delta": shape.width,
                 "d": spacing, "half_count": half_count}
     if len(peaks) != 2 or peaks[0].center_x != -peaks[1].center_x \
             or peaks[0].center_x <= 0:
-        raise CliError("closed two-peak engines need exactly two peaks at "
-                       "+d and -d with d > 0", 1)
+        # a grating has 1 or >= 3 peaks: its kind is what is wrong
+        path = "potential.peaks" if cfg.grating is None else "potential.kind"
+        raise ConfigError([(path, "closed two-peak engines need exactly two "
+                            "peaks at +d and -d with d > 0")])
     a, b = peaks[0].shape, peaks[1].shape
     if a.strength != b.strength or a.width != b.width:
-        raise CliError("closed two-peak engines need equal strength and "
-                       "width on both peaks", 1)
+        raise ConfigError([("potential.peaks", "closed two-peak engines need "
+                            "equal strength and width on both peaks")])
     if variant.endswith("mixed"):
         want = (POLYNOMIAL_GAUSSIAN, GAUSSIAN)
     else:
         want = (GAUSSIAN, GAUSSIAN)
     if (a.variant, b.variant) != want:
-        raise CliError(f"engine {variant} needs peak shapes "
-                       f"{want[0]} at +d and {want[1]} at -d", 1)
+        i = 0 if a.variant != want[0] else 1
+        raise ConfigError([(f"potential.peaks[{i}].shape", f"engine {variant} "
+                            f"needs peak shapes {want[0]} at +d and {want[1]} "
+                            "at -d")])
     return {"v0": a.strength, "delta": a.width, "d": peaks[0].center_x}
 
 
@@ -195,7 +201,8 @@ def _counterpart_for_k(cfg: Config, thetas: np.ndarray, k: float) -> CrossSectio
 
 def _scan_or_fail(cfg: Config):
     if cfg.scan is None:
-        raise CliError("config needs a scan block with a theta grid", 1)
+        raise ConfigError([("scan", "this subcommand needs a scan block "
+                            "with a theta grid")])
     return cfg.scan
 
 
@@ -225,7 +232,7 @@ def cmd_profile(args) -> int:
     manifest = {"subcommand": "profile", "config": serialize_config(cfg),
                 "formats": list(formats)}
     run_dir = _run_dir(args.out, "profile", manifest)
-    # one Column per array: the CSV and the JSON share its text
+    # one Column per array: the CSV and the JSON share its cells
     theta, sigma = output.Column(profile.thetas), output.Column(profile.sigma)
     channels = {key: output.Column(arr)
                 for key, arr in (profile.per_channel or {}).items()}
@@ -251,7 +258,7 @@ def cmd_sweep(args) -> int:
     formats = _parse_formats(args.format)
     scan = _scan_or_fail(cfg)
     if not scan.k_values:
-        raise CliError("sweep needs a non-empty scan.k list", 1)
+        raise ConfigError([("scan.k", "sweep needs a non-empty list")])
     thetas = scan.thetas()
     tasks = [lambda k=k: _profile_for_k(cfg, thetas, k).sigma
              for k in scan.k_values]
@@ -281,8 +288,9 @@ def cmd_compare(args) -> int:
     formats = _parse_formats(args.format)
     scan = _scan_or_fail(cfg)
     if cfg.engine_variant not in ("general", *CLOSED_TWINS):
-        raise CliError("compare needs an internal-structure engine "
-                       "(general or a closed internal variant)", 1)
+        raise ConfigError([("engine.variant", "compare needs an "
+                            "internal-structure engine (general or a closed "
+                            "internal variant)")])
     if cfg.engine_variant != "general":
         _closed_params(cfg)  # a config error exits 1 before the grid check
     k_values = scan.k_values or (cfg.beam.wavenumber,)

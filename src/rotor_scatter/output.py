@@ -38,31 +38,32 @@ does (Adams, "Ryu revisited: printf floating point conversion", OOPSLA
   of sign, notation and digit count (trailing zeros dropped) selects the
   byte template: fixed notation for -4 <= X < 17, else d.ddde+XX with at
   least two exponent digits, no bare point, "-0" for a negative zero. The
-  fixed-width cells are compacted and decoded once per chunk.
+  result is a fixed-width byte cell per value and its length.
 
-Each float vector a file holds is a ``Column``, whose text, the values
-separated by newlines, comes from one ``fmt_table`` call and is shared:
-the CSV writers cut each block of ``_BLOCK_ROWS`` rows from the column
-texts at their newline offsets and join a row's cells with commas, in
-numpy, and ``emit_json`` writes a column as an array by putting
-``",\n" + indent`` between its values. The CLI hands the same ``Column``
-objects to both writers, so a value is formatted once for both files;
-the JSON writer drops a column's text once it has been written. Both
-writers return string pieces for ``write_text``, so neither joins or
-encodes a whole document, and both refuse a non-finite value before the
-first piece is written. The SVG writers compute pixel coordinates over
-arrays, with the same IEEE operations in the same order as the scalar
-formula, keep per pixel column the M4 points of each curve (first,
-lowest, highest, last), which draw the same polyline, and label axes,
-legend and titles with 6 significant digits; legend entries past the
-22nd wrap into further columns. The SVG is a view; the CSV and JSON are
-the authoritative outputs.
+Each float vector a file holds is a ``Column``, which keeps its cells
+from one formatting pass; the CLI hands the same ``Column`` objects to
+both writers, so a value is formatted once for the CSV and the JSON.
+``_lay_out`` makes every text from cells, with one mask over the cells
+and what follows each: ``fmt_table`` a whole table, the CSV writers each
+block of ``_BLOCK_ROWS`` rows from the column slices side by side, and
+``emit_json`` a column's array ``_CHUNK`` values per piece, the cells
+dropped once laid out. Both writers return string pieces for
+``write_text``, so neither joins or encodes a whole document, and both
+refuse a non-finite value before the first piece is written.
+The SVG writers compute pixel coordinates over arrays, with the same IEEE
+operations in the same order as the scalar formula, keep per pixel
+column the M4 points of each curve (first, lowest, highest, last), which
+draw the same polyline, and label axes, legend and titles with 6
+significant digits; legend entries past the 22nd wrap into further
+columns. The SVG is a view; the CSV and JSON are the authoritative
+outputs.
 Every output byte is pinned by ``tests/output_sha256.json``.
 """
 
 import functools
 import hashlib
 import math
+from itertools import chain
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -86,8 +87,8 @@ __all__ = [
     "write_text",
 ]
 
-# rows per CSV row block: bounds the bytes a block is cut from and built
-# in (a 101-column k*alpha = 100 profile cuts 512 x 101 cells at a time)
+# rows per CSV row block: bounds the bytes a block is laid out in (a
+# 101-column k*alpha = 100 profile lays out 512 x 101 cells at a time)
 _BLOCK_ROWS = 512
 
 
@@ -116,7 +117,6 @@ _CHUNK = 4096
 _NUMBER = 24  # len("-2.2250738585072014e-308")
 _E_LO, _E_HI = -230, 229
 _ROUND_MARGIN = 2.0 ** -46
-_NEWLINE = 10
 
 # a value's character source, _SOURCE bytes: the sign and the "0", "."
 # and "e" fillers, the 17 digits at 3..19 (four-digit groups from byte 4
@@ -204,9 +204,9 @@ def _tables() -> _Tables:
         rows=np.arange(0, _CHUNK * _SOURCE, _SOURCE)[:, None])
 
 
-def _format_cells(x: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """Write the %.17g text of each finite value of x (at most _CHUNK)
-    left-aligned into cells[:, :_NUMBER]; return the text lengths."""
+def _format_cells(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The %.17g text of each finite value of x (at most _CHUNK), left-
+    aligned in a row of _NUMBER bytes, and the text lengths."""
     t = _tables()
     m = x.size
     ax = np.abs(x)
@@ -250,13 +250,37 @@ def _format_cells(x: np.ndarray, cells: np.ndarray) -> np.ndarray:
     key = t.key_base[i] + 16 - zeros.astype(np.intp)
     key[np.signbit(x)] += _NEGATIVE_KEYS
     index = t.rows[:m] + t.template[key]
-    cells[:, :_NUMBER] = np.take(src.ravel(), index)
+    cells = np.take(src.ravel(), index)
     length = t.length[key]
     for j in np.flatnonzero(~ok):
         text = fmt_real(x[j]).encode()
         cells[j, :len(text)] = np.frombuffer(text, dtype=np.uint8)
         length[j] = len(text)
-    return length
+    return cells, length
+
+
+def _lay_out(cells: np.ndarray, length: np.ndarray, ncols: int,
+             sep: str, final: str) -> str:
+    """The text of formatted values, ncols to a row: the first length[i]
+    bytes of cells[i], then sep within a row, a newline at a row's end
+    and final after the last value. Each cell is copied into a row with
+    its tail; one mask, whose row per cell is looked up by its length and
+    tail, keeps the bytes in use, and the text is decoded once."""
+    tails = [np.frombuffer(t.encode("utf-8"), dtype=np.uint8) for t in (sep, "\n", final)]
+    sizes = np.array([t.size for t in tails])
+    width = _NUMBER + sizes.max()
+    n = length.size
+    text = np.empty((n, width), dtype=np.uint8)
+    text[:, :_NUMBER] = cells.reshape(n, _NUMBER)
+    follows = np.zeros(n, dtype=np.intp)  # the index of its tail
+    for rows, k in ((slice(None), 0), (slice(ncols - 1, None, ncols), 1), (-1, 2)):
+        text[rows, _NUMBER:_NUMBER + sizes[k]] = tails[k]
+        follows[rows] = k
+    fits = np.empty((_NUMBER + 1, 3, width), dtype=bool)
+    fits[..., :_NUMBER] = np.arange(_NUMBER) < np.arange(_NUMBER + 1)[:, None, None]
+    fits[..., _NUMBER:] = np.arange(width - _NUMBER) < sizes[:, None]
+    keep = np.take(fits.reshape(-1, width), 3 * length.reshape(n) + follows, axis=0)
+    return str(text[keep], "utf-8")
 
 
 def fmt_table(values, sep: str = ",") -> str:
@@ -265,63 +289,47 @@ def fmt_table(values, sep: str = ",") -> str:
 
     One finiteness check covers the array; a non-finite value raises
     ``fmt_real``'s error for the first one in row order. The values are
-    then formatted ``_CHUNK`` at a time by the kernel of the module
-    docstring, which prints what ``fmt_real`` prints; sep may be any
-    string.
+    formatted once, by the kernel of the module docstring, into a
+    ``Column``'s cells, and laid out by ``_lay_out``; sep may be any string.
     """
     arr = np.asarray(values, dtype=float)
     rows = arr if arr.ndim == 2 else arr.reshape(1, -1)
-    finite = np.isfinite(rows)
-    if not finite.all():
-        fmt_real(rows.flat[np.argmin(finite)])
+    column = Column(rows.ravel())
+    _refuse_non_finite([column])
     if rows.size == 0:
         return "\n" * max(rows.shape[0] - 1, 0)
-    flat = rows.ravel()
-    sep_bytes = np.frombuffer(sep.encode("utf-8"), dtype=np.uint8)
-    # a cell per value: its text in the first _NUMBER bytes, then what
-    # follows it: sep, a newline at a row end, nothing after the last value
-    width = _NUMBER + max(sep_bytes.size, 1)
-    column = np.arange(width, dtype=np.min_scalar_type(width))
-    text = []
-    for s in range(0, flat.size, _CHUNK):
-        x = flat[s:s + _CHUNK]
-        cells = np.empty((x.size, width), dtype=np.uint8)
-        length = _format_cells(x, cells)
-        cells[:, _NUMBER:_NUMBER + sep_bytes.size] = sep_bytes
-        row_end = np.arange(s + 1, s + 1 + x.size) % rows.shape[1] == 0
-        cells[row_end, _NUMBER] = _NEWLINE
-        tail = np.where(row_end, 1, sep_bytes.size).astype(column.dtype)
-        if s + x.size == flat.size:
-            tail[-1] = 0
-        keep = np.empty(cells.shape, dtype=bool)
-        np.less(column[:_NUMBER], length[:, None], out=keep[:, :_NUMBER])
-        np.less(column[_NUMBER:] - _NUMBER, tail[:, None], out=keep[:, _NUMBER:])
-        text.append(str(cells[keep], "utf-8"))
-    return "".join(text)
+    return _lay_out(*column.cells(), rows.shape[1], sep, "")
 
 
 class Column:
     """A float vector of an output file, formatted at most once.
 
-    ``text()`` is its ``fmt_real`` text, the values separated by newlines,
-    from one ``fmt_table`` call. It is kept until ``drop()``, so every
-    writer handed the same column reuses it.
+    ``cells()`` is its ``fmt_real`` text as the kernel writes it: an
+    (n, _NUMBER) uint8 array of left-aligned cells and their uint8
+    lengths, formatted ``_CHUNK`` values at a time. It is kept until
+    ``drop()``, so every writer handed the same column lays out the same
+    cells; the caller has refused non-finite values first.
     """
 
     def __init__(self, values):
         self.values = np.asarray(values, dtype=float)
-        self._text: Optional[str] = None
+        self._cells: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def __len__(self) -> int:
         return len(self.values)
 
-    def text(self) -> str:
-        if self._text is None:
-            self._text = fmt_table(self.values, sep="\n")
-        return self._text
+    def cells(self) -> Tuple[np.ndarray, np.ndarray]:
+        if self._cells is None:
+            # joined after the chunks: the kept arrays then sit above the
+            # chunks' freed temporaries, which the next column reuses rather
+            # than faulting in afresh; an empty column is one empty chunk
+            parts = [_format_cells(self.values[s:s + _CHUNK])
+                     for s in range(0, max(len(self), 1), _CHUNK)]
+            self._cells = tuple(np.concatenate(part) for part in zip(*parts))
+        return self._cells
 
     def drop(self) -> None:
-        self._text = None
+        self._cells = None
 
 
 def _column(values) -> Column:
@@ -346,9 +354,9 @@ def emit_json(value) -> Iterator[str]:
 
     The document is laid out and every value checked before this returns,
     so a refusal writes nothing. A float vector (a ``Column``, a 1-D
-    float64 array, or a list of plain floats) is one piece, made from its
-    column's block texts when the piece is reached; the text is dropped
-    before the piece is handed out.
+    float64 array, or a list of plain floats) is laid out from its
+    column's cells ``_CHUNK`` values per piece when it is reached; the
+    cells are dropped before the first piece is handed out.
     """
     out: List = []
     _emit_json(value, 0, out)
@@ -361,9 +369,11 @@ def _json_pieces(out: List) -> Iterator[str]:
             yield piece
             continue
         column, sep = piece
-        text = column.text().replace("\n", sep)
+        cells, length = column.cells()
         column.drop()
-        yield text
+        for s in range(0, length.size, _CHUNK):
+            yield _lay_out(cells[s:s + _CHUNK], length[s:s + _CHUNK], _CHUNK, sep,
+                           sep if s + _CHUNK < length.size else "")
 
 
 def _emit_json(value, indent: int, out: List) -> None:
@@ -449,54 +459,19 @@ def table_csv(header: List[str], columns: Sequence) -> Iterator[str]:
     """Header plus one row per index of the equal-length columns.
 
     Every column is checked and formatted before this returns; the row
-    blocks are built from the column texts as the pieces are taken.
+    blocks are laid out from the column cells as the pieces are taken.
     """
     columns = [_column(col) for col in columns]
     n = len(columns[0])
     if any(len(col) != n for col in columns):
         raise ValueError("every column must have one value per theta")
     _refuse_non_finite(columns)
-    return _csv_pieces(",".join(header), [col.text() for col in columns], n)
-
-
-def _csv_pieces(header: str, texts: List[str], n: int) -> Iterator[str]:
-    yield header + "\n"
-    starts = np.zeros(len(texts), dtype=np.int64)  # each column's next value
-    for s in range(0, n, _BLOCK_ROWS):
-        yield _row_block(texts, starts, min(_BLOCK_ROWS, n - s))
-
-
-def _row_block(texts: List[str], starts: np.ndarray, rows: int) -> str:
-    """The CSV lines of the next ``rows`` values of every column; moves
-    ``starts`` past them.
-
-    Each column's next ``rows`` values, newline-terminated, fit in
-    ``rows * (_NUMBER + 1)`` characters. Those windows are copied into
-    one byte array, and every value is cut from it at the offset of the
-    newline before it, in row order.
-    """
-    span = rows * (_NUMBER + 1)
-    stride = span + _NUMBER + 1  # room to cut a full cell from the last value
-    buf = np.zeros((len(texts), stride), dtype=np.uint8)
-    for j, text in enumerate(texts):
-        window = text[starts[j]:starts[j] + span].encode()
-        buf[j, :len(window)] = np.frombuffer(window, dtype=np.uint8)
-        buf[j, len(window)] = _NEWLINE  # ends a column's last value
-    is_newline = buf == _NEWLINE
-    per_column = is_newline.sum(axis=1)
-    first = np.cumsum(per_column) - per_column  # each column's first newline
-    ends = np.flatnonzero(is_newline)[first[:, None] + np.arange(rows)]
-    begins = np.empty_like(ends)
-    begins[:, 0] = np.arange(len(texts)) * stride
-    begins[:, 1:] = ends[:, :-1] + 1
-    starts += ends[:, -1] + 1 - begins[:, 0]
-    lengths = (ends - begins).T.astype(np.uint8)  # (rows, columns)
-    width = int(lengths.max()) + 1
-    cells = np.lib.stride_tricks.sliding_window_view(buf.ravel(), width)[begins.T]
-    # each cell ends in its newline; all but a row's last become commas
-    cells[np.arange(rows)[:, None], np.arange(len(texts) - 1), lengths[:, :-1]] = ord(",")
-    keep = np.arange(width, dtype=np.uint8) <= lengths[..., None]
-    return str(cells[keep], "ascii")
+    cells = [col.cells() for col in columns]
+    blocks = (slice(s, s + _BLOCK_ROWS) for s in range(0, n, _BLOCK_ROWS))
+    return chain([",".join(header) + "\n"],
+                 (_lay_out(np.stack([c[rows] for c, _ in cells], axis=1),
+                           np.stack([length[rows] for _, length in cells], axis=1),
+                           len(cells), ",", "\n") for rows in blocks))
 
 
 def profile_csv(thetas, sigma,

@@ -315,14 +315,18 @@ class TestClosedEngineConfigs:
         doc["engine"]["variant"] = "closed_two_gaussian"
         cfg = write_config(tmp_path, doc)
         assert main(["profile", "--config", cfg, "--out", str(tmp_path)]) == 1
-        assert "peak shapes" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "peak shapes" in err
+        assert "config error: potential.peaks[0].shape: " in err
 
     def test_nonzero_beam_exits_1(self, tmp_path, capsys):
         doc = two_slit_doc(engine="closed_two_gaussian")
         doc["beam"]["amplitudes"] = [{"l": 2, "re": 1.0, "im": 0.0}]
         cfg = write_config(tmp_path, doc)
         assert main(["profile", "--config", cfg, "--out", str(tmp_path)]) == 1
-        assert "l = 0" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "l = 0" in err
+        assert "config error: beam.amplitudes: " in err
 
     def test_closed_grating_profile(self, tmp_path, capsys):
         doc = two_slit_doc(engine="closed_grating", steps=61)

@@ -315,22 +315,31 @@ CHUNK_EDGES = [_CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7]
 
 
 class TestWritersMatchPerValueReference:
-    @pytest.mark.parametrize("rows", [1, *BLOCK_EDGES])
-    def test_sweep_csv_across_block_boundary(self, rows):
+    # and a table of the theta column alone, where every cell ends a row
+    @pytest.mark.parametrize("rows, ks", [
+        *(pytest.param(r, [0.25, 1.0, 1e-300], id=str(r)) for r in [1, *BLOCK_EDGES]),
+        *(pytest.param(r, [], id=f"theta_only-{r}") for r in BLOCK_EDGES)])
+    def test_sweep_csv_across_block_boundary(self, rows, ks):
         thetas = np.linspace(-1.5, 1.5, rows) if rows > 1 else np.array([-0.0])
-        columns = [edge_column(rows, s) for s in range(3)]
-        ks = [0.25, 1.0, 1e-300]
+        columns = [edge_column(rows, s) for s in range(len(ks))]
         assert sweep_text(thetas, ks, columns) == ref_sweep_csv(thetas, ks, columns)
 
-    @pytest.mark.parametrize("n", CHUNK_EDGES)
-    def test_column_across_chunk_boundary(self, n):
+    # and the Column twice in a JSON list, its values 6 spaces in
+    @pytest.mark.parametrize("n, nested", [
+        *(pytest.param(n, False, id=str(n)) for n in CHUNK_EDGES),
+        *(pytest.param(n, True, id=f"nested-{n}") for n in CHUNK_EDGES)])
+    def test_column_across_chunk_boundary(self, n, nested):
         # one Column through both writers, against the per-value reference
         values = edge_column(n, 7)
         thetas = np.linspace(-1.5, 1.5, n)
         column = Column(values)
         assert sweep_text(thetas, [2.0], [column]) == \
             ref_sweep_csv(thetas, [2.0], [values])
-        assert json_text({"sigma": column}) == ref_emit_json({"sigma": values.tolist()})
+
+        def doc(col):
+            return {"with": [col, col]} if nested else {"sigma": col}
+
+        assert json_text(doc(column)) == ref_emit_json(doc(values.tolist()))
 
     def test_sweep_csv_integer_list_entries(self):
         thetas = [0, 0.5, 1]
@@ -360,9 +369,9 @@ class TestWritersMatchPerValueReference:
         # the CLI's documents: each array is one Column that the CSVs and
         # the JSON both write, and every value is formatted exactly once
         formatted = []
-        real_fmt_table = output.fmt_table
-        monkeypatch.setattr(output, "fmt_table", lambda values, sep=",": (
-            formatted.append(np.size(values)) or real_fmt_table(values, sep)))
+        real_format_cells = output._format_cells
+        monkeypatch.setattr(output, "_format_cells", lambda x: (
+            formatted.append(x.size) or real_format_cells(x)))
         thetas = np.linspace(-1.5, 1.5, rows)
         ks = [0.5, 1e-300, 7.0]
         # a quarter each, so three channels sum without overflow
