@@ -133,26 +133,24 @@ def _channel_sum(channels, k, alpha, thetas, at_kappa, term):
 
     at_kappa(q_x, q_y, |q|) runs once per outgoing kappa and only its
     result is kept. J_n(alpha |q|) is evaluated once per (kappa, |n|) key,
-    n = l_in - l_out (J_-n^2 == J_n^2 exactly), in specfun.bessel_j_grid
-    calls of at most specfun.BLOCK arguments and one key at least; a value
-    depends only on its (n, x), so grouping changes no bit. term(channel,
-    at_kappa result, J row) is summed in channel order with compensated
-    summation (bit-stable outputs).
+    n = l_in - l_out (J_-n^2 == J_n^2 exactly), all keys in one
+    specfun.bessel_j_grid call, which sorts the profile's elements by
+    start order; a value depends only on its (n, x), so the call's other
+    elements change no bit. term(channel, at_kappa result, J row) is
+    summed in channel order with compensated summation (bit-stable
+    outputs).
     """
     keys = list(dict.fromkeys((ch.kappa, abs(ch.l_in - ch.l_out)) for ch in channels))
-    step = max(1, specfun.BLOCK // max(1, thetas.size))
-    at, bess = {}, {}
-    for start in range(0, len(keys), step):
-        group = keys[start:start + step]
-        xs = np.empty((len(group), thetas.size))
-        for row, (kappa, _) in zip(xs, group):
-            q_x, q_y, q_mag = geometry_grid(k, kappa, thetas)
-            if kappa not in at:
-                at[kappa] = at_kappa(q_x, q_y, q_mag)
-            np.multiply(alpha, q_mag, out=row)
-        orders = np.repeat([n for _, n in group], thetas.size)
-        rows = specfun.bessel_j_grid(orders, xs.ravel()).reshape(xs.shape)
-        bess.update(zip(group, rows))
+    at = {}
+    xs = np.empty((len(keys), thetas.size))
+    for row, (kappa, _) in zip(xs, keys):
+        q_x, q_y, q_mag = geometry_grid(k, kappa, thetas)
+        if kappa not in at:
+            at[kappa] = at_kappa(q_x, q_y, q_mag)
+        np.multiply(alpha, q_mag, out=row)
+    orders = np.repeat([n for _, n in keys], thetas.size)
+    rows = specfun.bessel_j_grid(orders, xs.ravel()).reshape(xs.shape)
+    bess = dict(zip(keys, rows))
     total = np.zeros_like(thetas)
     comp = np.zeros_like(thetas)
     per = {}

@@ -46,8 +46,6 @@ from .model import (
     serialize_config,
     validate_config,
 )
-from .oracle import OracleConvergenceError
-from .validate import run_checks
 
 _FORMATS = ("csv", "json", "svg")
 
@@ -350,11 +348,18 @@ def cmd_compare(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    # imported here, so that only this subcommand loads mpmath
+    from .oracle import OracleConvergenceError
+    from .validate import run_checks
+
     formats = _parse_formats(args.format)
     try:
         results = run_checks(only=args.only)
     except ValueError as exc:
         raise CliError(str(exc), 1)
+    except OracleConvergenceError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
     manifest = {"subcommand": "validate", "only": args.only,
                 "formats": list(formats)}
     run_dir = _run_dir(args.out, "validate", manifest)
@@ -420,8 +425,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         for path, message in exc.errors:
             print(f"config error: {path}: {message}", file=sys.stderr)
         return 1
-    except (OracleConvergenceError, AnalysisError, UnsupportedVariantError,
-            ValueError) as exc:
+    except (AnalysisError, UnsupportedVariantError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except OverflowError:

@@ -47,11 +47,23 @@ the oscillatory region (n < x) it is off by |t| relative to the local
 amplitude sqrt(J_n^2 + Y_n^2), which the normalization condition
 already pushes below e^-160; relative to J_n itself no bound exists
 at a zero of J_n, and the double-double rounding error has the same
-scale there. Both conditions are monotone in N, so N is found by
-bisection per element. The start never exceeds U(x) + 8; orders that
-would ask for more lie so far in the tail that the truncation error
-of that start, below 2 B_{U+9} < 1e-330 absolutely, is far under one
-unit in the last place of their values.
+scale there. The start never exceeds U(x) + 8; orders that would ask
+for more lie so far in the tail that the truncation error of that
+start, below 2 B_{U+9} < 1e-330 absolutely, is far under one unit in
+the last place of their values.
+
+Start search. Both conditions are monotone in N, so the start is the
+smallest N that passes them, and bisection per element finds it. It is
+cheaper to guess it: past x both conditions are convex and increasing
+in N, and a few Newton steps on each give a float estimate N. The
+estimate is taken when the conditions hold at N but not at N - 1 (or N
+is the lowest allowed start), and N - 8 < U(x), so that the cap does
+not apply. U(x) itself is not needed for that: ln B_m rises up to
+m ~ x/2, where it is above -760, and falls past it, so m < U(x) exactly
+when the bound on ln B_m is at least ln 1e-330. The few elements whose
+estimate fails the test (starts at the cap, a root within rounding of
+an integer) go through the bisection, and every start is the one the
+bisection would give.
 
 One kernel, bessel_j_grid, evaluates every request. Each element
 carries its own order and its own start, a function of (n, x) alone,
@@ -62,9 +74,29 @@ seeded, and an element's value is stored when the step reaches its
 order. bessel_j(n, x) (one element) and bessel_j_batch(n_max, x)
 (orders 0..n_max at one x, n_max a plain int) are calls into it, so a
 value does not depend on the entry point or on the other elements of
-the call. The recurrence runs the start-sorted elements in blocks of at
-most BLOCK, which bounds its work arrays; the blocks change no value for
-the same reason.
+the call. A call finds its starts one BLOCK of elements at a time,
+sorts all its elements by start and runs the recurrence over
+consecutive blocks of BLOCK, which bounds the work arrays; born makes
+one call per profile, so that the blocks of the whole profile run at
+similar depth. The blocks change no value for the same reason.
+
+Renormalization. A double-double sum is Knuth's two-sum (s, e) of the
+high parts, y = e + (al + bl), and one renormalization of (s, y). The
+inputs are normalized, |lo| <= ulp(hi)/2, and that makes the
+renormalization Dekker's Fast2Sum, exact when exponent(s) >=
+exponent(y) or s = 0. Without cancellation |s| >= max(|ah|, |bh|)/2 and
+|y| <= 2.5 ulp(s). Under Sterbenz cancellation (opposite signs within a
+factor of 2, so adjacent binades at most) s = ah + bh exactly, e = 0,
+and |y| <= ulp(ah)/2 + ulp(bh)/2 <= 1.5 ulp_min, ulp_min the smaller
+ulp; s is a multiple of ulp_min, so it is 0 or at least ulp_min, whose
+exponent bounds that of y. The product (ch, cl) J_k is renormalized the
+same way: its low part is a few ulp of its high part. An exact sum is
+the same double from either routine, its sign of zero included, except
+at y = -0, where Fast2Sum's error is -0 and the two-sum's +0. y = -0
+needs a -0 among the high parts, and the recurrence makes none (its
+seeds are +0 and 1e-30, and a rounded sum is -0 only when both addends
+are). The two-sum stays where magnitudes are unordered: the first sum
+of each addition, and _dd_div_to.
 """
 
 from __future__ import annotations
@@ -74,10 +106,9 @@ import math
 import numpy as np
 
 ORDER_CAP = 20000
-# elements per recurrence block, which bounds the kernel's work arrays;
-# born groups its Bessel requests into calls of at most this many
-# elements (one key at least)
-BLOCK = 4096
+# elements per start search and per recurrence block, which bounds the
+# kernel's temporaries and work arrays
+BLOCK = 8192
 
 _SERIES_X = 1e-6
 _SEED = 1e-30
@@ -88,6 +119,12 @@ _SPLIT = 134217729.0  # 2^27 + 1, Dekker splitter
 _LOG_FLOOR = -760.0   # ln 1e-330, certifies underflow past U(x)
 _LOG_TOL = -84.0      # ln of the certified truncation error of a start
 _LN2 = math.log(2.0)
+_LN2PI = math.log(2.0 * math.pi)
+# Newton steps of the start estimate (the test corpora need at most 7;
+# an element still moving after them takes the bisection) and the step
+# size that ends them
+_NEWTON_STEPS = 30
+_NEWTON_TOL = 1e-4
 
 
 def _logbound(m, lh):
@@ -142,6 +179,15 @@ def _tail_integral(a, x):
     return a * np.arccosh(a / x) - np.sqrt((a - x) * (a + x))
 
 
+def _certified(N, x, lh, tail, g_n):
+    """Both truncation conditions of the module docstring at start N,
+    uncapped; lh = ln(x/2), tail = n >= x, g_n = G(max(n, x))."""
+    m = N + 1.0
+    ok = _logbound(m, lh) + np.log(N + 6.0) <= _LOG_TOL - _LN2
+    ok &= ~tail | (_tail_integral(m, x) - g_n >= 2.0 * _LN2 - _LOG_TOL)
+    return ok
+
+
 def _seed_orders(x: np.ndarray, n: np.ndarray, U: np.ndarray) -> np.ndarray:
     """Start order N of the recurrence for orders n < U(x), elementwise.
 
@@ -155,18 +201,76 @@ def _seed_orders(x: np.ndarray, n: np.ndarray, U: np.ndarray) -> np.ndarray:
     g_n = _tail_integral(np.maximum(n, x), x)
 
     def certified(N):
-        m = N + 1.0
-        ok = _logbound(m, lh) + np.log(N + 6.0) <= _LOG_TOL - _LN2
-        ok &= ~tail | (_tail_integral(m, x) - g_n >= 2.0 * _LN2 - _LOG_TOL)
-        return ok | (N >= cap)
+        return _certified(N, x, lh, tail, g_n) | (N >= cap)
 
     lo = np.minimum(np.maximum(n + 1.0, np.ceil(x)), cap)
     return _bisect(lo, np.where(certified(lo), lo, cap), certified).astype(np.int64)
 
 
+def _newton_up(m, h_and_slope):
+    """Root of a convex increasing h, elementwise, from m where h(m) < 0;
+    m itself where h(m) >= 0. The first Newton step from the left of the
+    root lands right of it, and the later ones descend onto it."""
+    need = None
+    for _ in range(_NEWTON_STEPS):
+        h, slope = h_and_slope(m)
+        if need is None:
+            need = h < 0.0
+        step = np.where(need, h / slope, 0.0)
+        m = m - step
+        if np.abs(step).max() <= _NEWTON_TOL:
+            break
+    return m
+
+
+def _starts(x: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Start order per element (x >= _SERIES_X), 0 where n >= U(x).
+
+    Equal to _seed_orders(x, n, _start_orders(x)) where n < U(x), found as
+    the module docstring's start search says; the elements whose estimate
+    fails its test go through _seed_orders.
+    """
+    out = np.zeros(x.shape, dtype=np.int64)
+    lh = np.log(0.5 * x)
+    nf = n.astype(float)
+    live = np.flatnonzero(_logbound(np.maximum(nf, 1.0), lh) >= _LOG_FLOOR)
+    if not live.size:
+        return out
+    x, nf, lh = x[live], nf[live], lh[live]
+    lo = np.maximum(nf + 1.0, np.ceil(x))
+    tail = nf >= x
+    g_n = _tail_integral(np.maximum(nf, x), x)
+
+    def bound(m):  # -ln B_m - ln(m + 5) + _LOG_TOL - ln 2, in m = N + 1
+        lm = np.log(m)
+        h = m * (lm - lh - 1.0) + 0.5 * (lm + _LN2PI) - np.log(m + 5.0)
+        return h + _LOG_TOL - _LN2, lm - lh + 0.5 / m - 1.0 / (m + 5.0)
+
+    m = _newton_up(lo + 1.0, bound)
+    if tail.any():
+        xt, gt = x[tail], g_n[tail]
+
+        def tail_bound(m):  # G(m) - G(n) + _LOG_TOL - 2 ln 2
+            h = _tail_integral(m, xt) - gt + _LOG_TOL - 2.0 * _LN2
+            return h, np.arccosh(m / xt)
+
+        m[tail] = _newton_up(m[tail], tail_bound)
+    # the least N with N + 1 >= m; the 1e-7 keeps a root at an integer
+    # from rounding N up
+    N = np.maximum(lo, np.ceil(m - 1.0 - 1e-7))
+    ok = _certified(N, x, lh, tail, g_n)
+    ok &= (N == lo) | ~_certified(N - 1.0, x, lh, tail, g_n)
+    ok &= _logbound(np.maximum(N - _START_PAD, 1.0), lh) >= _LOG_FLOOR
+    out[live[ok]] = N[ok].astype(np.int64)
+    if not ok.all():
+        miss = ~ok
+        out[live[miss]] = _seed_orders(x[miss], nf[miss], _start_orders(x[miss]))
+    return out
+
+
 # ---------------------------------------------------------------------------
-# double-double primitives (Knuth's two-sum, Dekker's split and product),
-# written with out= ufuncs into arrays the caller owns
+# double-double primitives (Knuth's two-sum, Dekker's Fast2Sum, split and
+# product), written with out= ufuncs into arrays the caller owns
 
 def _two_sum_to(a, b, s, e, t, u):
     """s = fl(a + b) and e = (a + b) - s exactly. s aliases neither input;
@@ -177,6 +281,15 @@ def _two_sum_to(a, b, s, e, t, u):
     np.subtract(a, u, out=u)
     np.subtract(b, t, out=t)
     np.add(u, t, out=e)
+
+
+def _fast_two_sum_to(a, b, s, e, t):
+    """s = fl(a + b) and e = (a + b) - s exactly when a == 0 or
+    exponent(a) >= exponent(b) (Dekker's Fast2Sum). s aliases neither
+    input; e is written last and may alias either; t is scratch."""
+    np.add(a, b, out=s)
+    np.subtract(s, a, out=t)
+    np.subtract(b, t, out=e)
 
 
 def _split_to(a, hi, lo, t):
@@ -276,19 +389,21 @@ def bessel_j_grid(n, xs: np.ndarray) -> np.ndarray:
         corr = 1.0 - y / (ms + 1) + (y * y) / (2.0 * (ms + 1) * (ms + 2))
         out[series] = t * corr
 
-    # orders at or past U(x) stay exactly 0.0
+    # starts one block at a time, which bounds the search's temporaries;
+    # orders at or past U(x) (start 0) stay exactly 0.0
     idx = np.flatnonzero(~series)
-    U = _start_orders(xs[idx])
-    live = m[idx] < U
-    idx, U = idx[live], U[live]
-    if idx.size:
-        starts = _seed_orders(xs[idx], m[idx], U)
-        order = np.argsort(-starts, kind="stable")
-        idx, starts = idx[order], starts[order]
-        del U, live, order  # the blocks' work arrays can take their memory
-        for lo in range(0, idx.size, BLOCK):
-            part = idx[lo:lo + BLOCK]
-            out[part] = _miller_grid(m[part], xs[part], starts[lo:lo + BLOCK])
+    starts = np.empty(idx.size, dtype=np.int64)
+    for lo in range(0, idx.size, BLOCK):
+        part = idx[lo:lo + BLOCK]
+        starts[lo:lo + BLOCK] = _starts(xs[part], m[part])
+    live = starts > 0
+    idx, starts = idx[live], starts[live]
+    order = np.argsort(-starts, kind="stable")
+    idx, starts = idx[order], starts[order]
+    del live, order  # the blocks' work arrays can take their memory
+    for lo in range(0, idx.size, BLOCK):
+        part = idx[lo:lo + BLOCK]
+        out[part] = _miller_grid(m[part], xs[part], starts[lo:lo + BLOCK])
 
     return np.where((ns < 0) & (ns % 2 != 0), -out, out)
 
@@ -343,7 +458,7 @@ def _miller_grid(ms: np.ndarray, x: np.ndarray, starts: np.ndarray) -> np.ndarra
             _two_sum_to(sh, dh, ch, y, t, u)  # ch is free until the step
             np.add(sl, dl, out=a)
             np.add(y, a, out=y)
-            _two_sum_to(ch, y, sh, sl, t, u)
+            _fast_two_sum_to(ch, y, sh, sl, t)
         if k == 0:
             break
         # (ch, cl) = 2k/x: ch = fl(2k * (1/x)), cl the rounded remainder
@@ -363,7 +478,7 @@ def _miller_grid(ms: np.ndarray, x: np.ndarray, starts: np.ndarray) -> np.ndarra
         np.multiply(cl, jh, out=t)
         np.add(b, t, out=b)
         np.add(a, b, out=a)
-        _two_sum_to(y, a, chh, a, t, u)
+        _fast_two_sum_to(y, a, chh, a, t)
         # J_{k-1} = (chh, a) - J_{k+1}, written over J_{k+1}, which becomes
         # the current pair (unseeded slots are overwritten when seeded).
         # Negated, not subtracted: the two-sum's error term needs
@@ -372,7 +487,7 @@ def _miller_grid(ms: np.ndarray, x: np.ndarray, starts: np.ndarray) -> np.ndarra
         _two_sum_to(chh, y, b, y, t, u)
         np.subtract(a, pl, out=a)
         np.add(y, a, out=y)
-        _two_sum_to(b, y, ph, pl, t, u)
+        _fast_two_sum_to(b, y, ph, pl, t)
         cur = 2 - cur
         jh, jl, ph, pl = ph, pl, jh, jl
         np.abs(jh, out=t)

@@ -372,6 +372,26 @@ class TestValidate:
                      "--only", "warpdrive"]) == 1
         capsys.readouterr()
 
+    def test_oracle_failure_is_one_line_exit_2(self, tmp_path, capsys,
+                                                monkeypatch):
+        from rotor_scatter import oracle, validate
+
+        def fail(only=None):
+            raise oracle.OracleConvergenceError("quadrature did not converge")
+
+        monkeypatch.setattr(validate, "run_checks", fail)
+        assert main(["validate", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "numerical failure: quadrature did not converge\n")
+
+    def test_importing_the_cli_leaves_mpmath_unloaded(self):
+        # only the validate subcommand needs the oracle, and with it mpmath
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, rotor_scatter.cli; print('mpmath' in sys.modules)"],
+            capture_output=True, text=True, check=True)
+        assert proc.stdout == "False\n"
+
 
 class TestBesselTable:
     def test_values_match_scalar_evaluator(self, tmp_path, capsys):

@@ -12,8 +12,11 @@ from hypothesis import given, settings, strategies as st
 from rotor_scatter.specfun import (
     BLOCK,
     ORDER_CAP,
+    _fast_two_sum_to,
     _seed_orders,
     _start_orders,
+    _starts,
+    _two_sum_to,
     bessel_j,
     bessel_j_batch,
     bessel_j_grid,
@@ -135,6 +138,176 @@ def _cutoff_and_tail_points():
                   cut + 1, u - 3, u - 1}
         pts += [(n, x) for n in sorted(orders) if n >= 0]
     return pts
+
+
+# reference start search, by bisection alone: U(x) by doubling and
+# bisection, then the smallest certified start in
+# [max(n + 1, ceil x), U(x) + 8]
+
+def _ref_logbound(m, lh):
+    return m * (lh + 1.0 - np.log(m)) - 0.5 * np.log(2.0 * np.pi * m)
+
+
+def _ref_bisect(lo, hi, ok):
+    while (hi - lo > 1.0).any():
+        mid = np.floor((lo + hi) / 2.0)
+        take = ok(mid)
+        hi = np.where(take, mid, hi)
+        lo = np.where(take, lo, mid)
+    return hi
+
+
+def _ref_tail_integral(a, x):
+    return a * np.arccosh(a / x) - np.sqrt((a - x) * (a + x))
+
+
+def ref_underflow_orders(x):
+    lh = np.log(0.5 * x)
+    hi = np.maximum(8.0, np.ceil(x))
+    while True:
+        bad = _ref_logbound(hi, lh) >= -760.0
+        if not bad.any():
+            break
+        hi = np.where(bad, 2.0 * hi, hi)
+    return _ref_bisect(np.floor(hi / 2.0), hi,
+                       lambda m: _ref_logbound(m, lh) < -760.0).astype(np.int64)
+
+
+def ref_starts(x, n):
+    """Start order per element, 0 for an order at or past U(x)."""
+    U = ref_underflow_orders(x)
+    out = np.zeros(x.shape, dtype=np.int64)
+    live = n < U
+    x, n, cap = x[live], n[live].astype(float), (U[live] + 8).astype(float)
+    lh = np.log(0.5 * x)
+    tail = n >= x
+    g_n = _ref_tail_integral(np.maximum(n, x), x)
+
+    def certified(N):
+        m = N + 1.0
+        ok = _ref_logbound(m, lh) + np.log(N + 6.0) <= -84.0 - math.log(2.0)
+        ok &= ~tail | (_ref_tail_integral(m, x) - g_n >= 2.0 * math.log(2.0) + 84.0)
+        return ok | (N >= cap)
+
+    lo = np.minimum(np.maximum(n + 1.0, np.ceil(x)), cap)
+    out[live] = _ref_bisect(lo, np.where(certified(lo), lo, cap), certified)
+    return out
+
+
+class TestStartOrders:
+    """The Newton-estimated starts are the bisection's, element by element."""
+
+    def check(self, n, x):
+        n, x = np.asarray(n, dtype=np.int64), np.asarray(x, dtype=float)
+        assert np.array_equal(_start_orders(x), ref_underflow_orders(x))
+        assert np.array_equal(_starts(x, n), ref_starts(x, n))
+
+    def test_cutoff_and_tail_points(self):
+        pts = _cutoff_and_tail_points()
+        self.check([n for n, _ in pts], [x for _, x in pts])
+
+    def test_random_corpus(self):
+        rng = np.random.default_rng(11)
+        size = 2 * BLOCK
+        # orders 0..2000 over log-uniform x, and orders near x, where the
+        # tail condition starts to count
+        x = np.exp(rng.uniform(math.log(1e-6), math.log(2000.0), size))
+        self.check(rng.integers(0, 2001, size), x)
+        x = rng.uniform(1e-6, 2000.0, size)
+        self.check(np.clip(x + rng.integers(-30, 90, size), 0, 2000), x)
+
+
+def renormalized(fast, hi, lo):
+    """(s, e) of the last step of a double-double operation: Fast2Sum if
+    fast, else the two-sum."""
+    s, e, t, u = (np.empty_like(hi) for _ in range(4))
+    if fast:
+        _fast_two_sum_to(hi, lo, s, e, t)
+    else:
+        _two_sum_to(hi, lo, s, e, t, u)
+    return s, e
+
+
+def same_bits(a, b):
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def normalized(hi, frac):
+    """Low parts frac * ulp(hi)/2 rounded, |frac| <= 1: |lo| <= ulp(hi)/2.
+    High parts are never -0: the recurrence makes no -0 high part."""
+    hi = np.where(hi == 0.0, 0.0, hi)
+    return hi, frac * (0.5 * np.spacing(np.abs(hi)))
+
+
+# high parts: anything finite and a margin below overflow, and for the
+# second operand also the values that cancel the first (Sterbenz:
+# opposite signs within a factor 2) or sit a few ulps off it
+_HI = st.floats(min_value=-1e300, max_value=1e300, allow_subnormal=True)
+_FRAC = st.floats(min_value=-1.0, max_value=1.0)
+_PAIR = st.tuples(_HI, _FRAC, st.one_of(
+    st.tuples(st.just("free"), _HI),
+    st.tuples(st.just("sterbenz"), st.floats(min_value=0.5, max_value=2.0)),
+    st.tuples(st.just("ulps"), st.integers(min_value=-4, max_value=4)),
+    st.tuples(st.just("binade"), st.sampled_from([0.5, 1.0, 2.0]))), _FRAC)
+
+
+def _operands(pairs):
+    ah = np.array([a for a, _, _, _ in pairs])
+    bh = np.empty_like(ah)
+    for i, (a, _, (kind, v), _) in enumerate(pairs):
+        if kind == "free":
+            bh[i] = v
+        elif kind == "sterbenz":
+            bh[i] = -a * v
+        elif kind == "ulps":
+            bh[i] = -(a + v * np.spacing(a))
+        else:  # the neighbouring binade, one ulp of it off
+            bh[i] = -np.nextafter(a * v, np.inf)
+    ah, al = normalized(ah, np.array([f for _, f, _, _ in pairs]))
+    bh, bl = normalized(bh, np.array([f for _, _, _, f in pairs]))
+    return ah, al, bh, bl
+
+
+class TestFastTwoSum:
+    """_miller_grid renormalizes with Fast2Sum; on the operands it gets
+    there the result has the two-sum's bits."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(_PAIR, min_size=20, max_size=20))
+    def test_sum_renormalization(self, pairs):
+        # the sum of two normalized double-doubles: two-sum of the high
+        # parts, its error plus the low parts, then the renormalization
+        ah, al, bh, bl = _operands(pairs)
+        s, e = renormalized(False, ah, bh)
+        y = e + (al + bl)
+        for got, want in zip(renormalized(True, s, y), renormalized(False, s, y)):
+            assert same_bits(got, want)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(_PAIR, min_size=20, max_size=20))
+    def test_product_renormalization(self, pairs):
+        # (ch, cl) * (jh, jl) as _miller_grid forms it, ch > 0
+        # with factors from 1e-140 to 1e140 (the recurrence's values stay
+        # well inside that), so that neither the product nor its error
+        # leaves the normal range
+        ch, cl, jh, jl = _operands(pairs)
+        ch = np.abs(ch)
+        keep = (ch >= 1e-140) & (ch <= 1e140)
+        keep &= (jh == 0.0) | ((np.abs(jh) >= 1e-140) & (np.abs(jh) <= 1e140))
+        ch, cl, jh, jl = ch[keep], cl[keep], jh[keep], jl[keep]
+        y = ch * jh
+        chh, jhh = _split(ch), _split(jh)
+        chl, jhl = ch - chh, jh - jhh
+        a = ((chh * jhh - y) + chh * jhl + chl * jhh) + chl * jhl
+        a = a + (ch * jl + cl * jh)
+        for got, want in zip(renormalized(True, y, a), renormalized(False, y, a)):
+            assert same_bits(got, want)
+
+
+def _split(a):
+    # Dekker's split, high half: (2^27 + 1) a - ((2^27 + 1) a - a)
+    t = a * 134217729.0
+    return t - (t - a)
 
 
 def test_scalar_reproduces_frozen_bits():
