@@ -31,7 +31,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from rotor_scatter.specfun import _start_orders, bessel_j_batch, bessel_j_grid
+from rotor_scatter.specfun import _starts, bessel_j_batch, bessel_j_grid
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 TARGET = ROOT / "tests" / "bessel_bits.json"
@@ -48,7 +48,18 @@ SEED = 20261017
 
 
 def underflow_order(x: float) -> int:
-    return int(_start_orders(np.array([x]))[0])
+    """U(x) as the kernel draws it: the smallest order with start 0 (an
+    exact zero), by doubling and bisection over the order."""
+    def zero(n):
+        return _starts(np.array([x]), np.array([n]))[0] == 0
+
+    lo, hi = 0, 1  # order 0 is never an exact zero for x >= 1e-6
+    while not zero(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if zero(mid) else (mid, hi)
+    return hi
 
 
 def argument_for(order: int) -> float:

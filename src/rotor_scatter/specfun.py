@@ -52,18 +52,18 @@ for more lie so far in the tail that the truncation error of that
 start, below 2 B_{U+9} < 1e-330 absolutely, is far under one unit in
 the last place of their values.
 
-Start search. Both conditions are monotone in N, so the start is the
-smallest N that passes them, and bisection per element finds it. It is
-cheaper to guess it: past x both conditions are convex and increasing
-in N, and a few Newton steps on each give a float estimate N. The
-estimate is taken when the conditions hold at N but not at N - 1 (or N
-is the lowest allowed start), and N - 8 < U(x), so that the cap does
-not apply. U(x) itself is not needed for that: ln B_m rises up to
-m ~ x/2, where it is above -760, and falls past it, so m < U(x) exactly
-when the bound on ln B_m is at least ln 1e-330. The few elements whose
-estimate fails the test (starts at the cap, a root within rounding of
-an integer) go through the bisection, and every start is the one the
-bisection would give.
+Start search. Both conditions are monotone in N, and so is the cap
+N >= U(x) + 8, which needs no U(x): ln B_m rises up to m ~ x/2, where
+it is above -760, and falls past it, so m < U(x) exactly when the bound
+on ln B_m is at least ln 1e-330, and N is capped when N - 8 fails that
+test. The start is the smallest N >= max(n + 1, ceil x) that is
+certified or capped. Past x both conditions are convex and increasing
+in N, and a few Newton steps on each give a float estimate N, taken
+when the conditions hold at N but not at N - 1 (or N is the lowest
+allowed start) and N is not capped. The few elements it fails (starts
+at the cap, a root within rounding of an integer) bracket the start
+from N, doubling it until the predicate holds, and close the bracket
+by bisection.
 
 One kernel, bessel_j_grid, evaluates every request. Each element
 carries its own order and its own start, a function of (n, x) alone,
@@ -106,6 +106,9 @@ import math
 import numpy as np
 
 ORDER_CAP = 20000
+# the channel engines' arguments x = alpha |q| <= alpha (k + kappa) <=
+# 2 hypot(l, k alpha) stay below it under validate_config's order bound
+ARGUMENT_CAP = 2.0 * ORDER_CAP
 # elements per start search and per recurrence block, which bounds the
 # kernel's temporaries and work arrays
 BLOCK = 8192
@@ -121,7 +124,7 @@ _LOG_TOL = -84.0      # ln of the certified truncation error of a start
 _LN2 = math.log(2.0)
 _LN2PI = math.log(2.0 * math.pi)
 # Newton steps of the start estimate (the test corpora need at most 7;
-# an element still moving after them takes the bisection) and the step
+# an element still moving after them takes the bracket) and the step
 # size that ends them
 _NEWTON_STEPS = 30
 _NEWTON_TOL = 1e-4
@@ -148,32 +151,6 @@ def _bisect(lo, hi, ok):
     return hi
 
 
-def _start_orders(xs: np.ndarray) -> np.ndarray:
-    """U(x): smallest M with certified |J_M(x)| < 1e-330, elementwise.
-
-    Bound: ln|J_M| <= M*(ln(x/2) + 1 - ln M) - 0.5*ln(2 pi M).
-    Monotone decreasing in M past its peak, so doubling then bisection
-    is safe. Series-path elements (x < _SERIES_X) are returned as 0.
-    """
-    xs = np.asarray(xs, dtype=float)
-    out = np.zeros(xs.shape, dtype=np.int64)
-    live = xs >= _SERIES_X
-    if not live.any():
-        return out
-    x = xs[live]
-    lh = np.log(0.5 * x)
-
-    hi = np.maximum(8.0, np.ceil(x))
-    while True:
-        bad = _logbound(hi, lh) >= _LOG_FLOOR
-        if not bad.any():
-            break
-        hi = np.where(bad, 2.0 * hi, hi)
-    hi = _bisect(np.floor(hi / 2.0), hi, lambda m: _logbound(m, lh) < _LOG_FLOOR)
-    out[live] = hi.astype(np.int64)
-    return out
-
-
 def _tail_integral(a, x):
     # G(a) = integral of arccosh(t/x) dt from x to a, for a >= x
     return a * np.arccosh(a / x) - np.sqrt((a - x) * (a + x))
@@ -186,25 +163,6 @@ def _certified(N, x, lh, tail, g_n):
     ok = _logbound(m, lh) + np.log(N + 6.0) <= _LOG_TOL - _LN2
     ok &= ~tail | (_tail_integral(m, x) - g_n >= 2.0 * _LN2 - _LOG_TOL)
     return ok
-
-
-def _seed_orders(x: np.ndarray, n: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """Start order N of the recurrence for orders n < U(x), elementwise.
-
-    Smallest N > n, N >= x, meeting both truncation conditions of the
-    module docstring, capped at U(x) + _START_PAD. Both conditions are
-    monotone in N over that range.
-    """
-    lh = np.log(0.5 * x)
-    cap = (U + _START_PAD).astype(float)
-    tail = n >= x
-    g_n = _tail_integral(np.maximum(n, x), x)
-
-    def certified(N):
-        return _certified(N, x, lh, tail, g_n) | (N >= cap)
-
-    lo = np.minimum(np.maximum(n + 1.0, np.ceil(x)), cap)
-    return _bisect(lo, np.where(certified(lo), lo, cap), certified).astype(np.int64)
 
 
 def _newton_up(m, h_and_slope):
@@ -223,17 +181,20 @@ def _newton_up(m, h_and_slope):
     return m
 
 
-def _starts(x: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Start order per element (x >= _SERIES_X), 0 where n >= U(x).
+def _below_u(m, lh):
+    """m < U(x), elementwise, for integer m and lh = ln(x/2): the bound on
+    ln B_max(m, 1) is at least ln 1e-330 (module docstring)."""
+    return _logbound(np.maximum(m, 1.0), lh) >= _LOG_FLOOR
 
-    Equal to _seed_orders(x, n, _start_orders(x)) where n < U(x), found as
-    the module docstring's start search says; the elements whose estimate
-    fails its test go through _seed_orders.
-    """
+
+def _starts(x: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Start order per element (x >= _SERIES_X), 0 where n >= U(x): the
+    least N >= max(n + 1, ceil x) that is certified or at least U(x) + 8,
+    found as the module docstring's start search says."""
     out = np.zeros(x.shape, dtype=np.int64)
     lh = np.log(0.5 * x)
     nf = n.astype(float)
-    live = np.flatnonzero(_logbound(np.maximum(nf, 1.0), lh) >= _LOG_FLOOR)
+    live = np.flatnonzero(_below_u(nf, lh))
     if not live.size:
         return out
     x, nf, lh = x[live], nf[live], lh[live]
@@ -260,11 +221,23 @@ def _starts(x: np.ndarray, n: np.ndarray) -> np.ndarray:
     N = np.maximum(lo, np.ceil(m - 1.0 - 1e-7))
     ok = _certified(N, x, lh, tail, g_n)
     ok &= (N == lo) | ~_certified(N - 1.0, x, lh, tail, g_n)
-    ok &= _logbound(np.maximum(N - _START_PAD, 1.0), lh) >= _LOG_FLOOR
+    ok &= _below_u(N - _START_PAD, lh)
     out[live[ok]] = N[ok].astype(np.int64)
-    if not ok.all():
-        miss = ~ok
-        out[live[miss]] = _seed_orders(x[miss], nf[miss], _start_orders(x[miss]))
+    miss = np.flatnonzero(~ok)
+    if miss.size:
+        x, lh, tail, g_n, lo, hi = (a[miss] for a in (x, lh, tail, g_n, lo, N))
+
+        def passes(N):  # certified or capped
+            return _certified(N, x, lh, tail, g_n) | ~_below_u(N - _START_PAD, lh)
+
+        # the start lies in (lo - 1, hi] once passes(hi) holds
+        lo = lo - 1.0
+        up = ~passes(hi)
+        while up.any():
+            lo = np.where(up, hi, lo)
+            hi = np.where(up, 2.0 * hi, hi)
+            up = ~passes(hi)
+        out[live[miss]] = _bisect(lo, hi, passes).astype(np.int64)
     return out
 
 
@@ -356,8 +329,9 @@ def bessel_j_grid(n, xs: np.ndarray) -> np.ndarray:
 
     n is an integer, or an integer array shaped like xs giving each
     element its own order. Negative orders go through J_{-n} = (-1)^n J_n
-    with an exact sign flip. Raises ValueError for a negative or
-    non-finite argument, a non-integer order, or |n| beyond the order cap.
+    with an exact sign flip. Raises ValueError, before computing a start,
+    for an argument outside [0, ARGUMENT_CAP], a non-integer order, or
+    |n| beyond the order cap.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1:
@@ -369,8 +343,8 @@ def bessel_j_grid(n, xs: np.ndarray) -> np.ndarray:
         raise ValueError("order array must be shaped like the arguments")
     if ((ns < -ORDER_CAP) | (ns > ORDER_CAP)).any():
         raise ValueError(f"order exceeds the supported cap {ORDER_CAP}")
-    if not np.isfinite(xs).all() or (xs < 0.0).any():
-        raise ValueError("arguments must be finite and >= 0")
+    if not ((xs >= 0.0) & (xs <= ARGUMENT_CAP)).all():  # NaN fails too
+        raise ValueError(f"arguments must be in [0, {ARGUMENT_CAP:g}]")
     m = np.broadcast_to(np.abs(ns).astype(np.int64), xs.shape)
     out = np.zeros(xs.shape)
 

@@ -410,6 +410,16 @@ class TestBesselTable:
                      "--out", str(tmp_path)]) == 1
         capsys.readouterr()
 
+    def test_argument_past_the_cap_exits_1(self, tmp_path):
+        # refused before the kernel: at x = 1e9 its start search and
+        # recurrence would need arrays of ~1e9 elements
+        proc = run_cli_process(["bessel-table", "--n-max", "0", "--x", "1e9",
+                                "--out", str(tmp_path)])
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            f"error: --x must be in [0, {specfun.ARGUMENT_CAP:g}]"]
+        assert not any(tmp_path.iterdir())
+
 
 class TestFormatSubsets:
     @pytest.mark.parametrize("subcommand", ["profile", "sweep", "compare",

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from rotor_scatter.kinematics import geometry_grid, open_channels
+from rotor_scatter.specfun import ARGUMENT_CAP
 from rotor_scatter.model import (
     GAUSSIAN,
     MAX_THETA_STEPS,
@@ -260,6 +262,35 @@ class TestValidateConfig:
             validate_config(doc)
         doc["engine"]["variant"] = "structureless"
         validate_config(doc)
+
+    @pytest.mark.parametrize("states", [[0], [0, 4000]])
+    def test_largest_accepted_channels_stay_inside_the_argument_cap(self, states):
+        # the largest k validate_config accepts at alpha = 1, and the
+        # largest Bessel argument alpha |q| its channels reach (|q| = k +
+        # kappa at backscatter), as the engines form it
+        def doc_at(k):
+            doc = minimal_doc()
+            doc["beam"] = {"k": k, "amplitudes": [
+                {"l": l, "re": math.sqrt(1.0 / len(states)), "im": 0.0}
+                for l in states]}
+            return doc
+
+        lo, hi = 1.0, 1e6
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            try:
+                validate_config(doc_at(mid))
+                lo = mid
+            except ConfigError:
+                hi = mid
+        config = validate_config(doc_at(lo))
+        kappas = {c.kappa for c in open_channels(config.beam, config.molecule)}
+        alpha = config.molecule.half_separation
+        x = max(float(alpha * geometry_grid(lo, kappa, np.array([math.pi]))[2][0])
+                for kappa in kappas)
+        with pytest.raises(ConfigError):
+            validate_config(doc_at(hi))
+        assert x < ARGUMENT_CAP
 
     def test_rotational_state_without_arm_rejected(self):
         doc = minimal_doc()

@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rotor_scatter import specfun
 from rotor_scatter.specfun import (
+    ARGUMENT_CAP,
     BLOCK,
     ORDER_CAP,
     _fast_two_sum_to,
-    _seed_orders,
-    _start_orders,
     _starts,
     _two_sum_to,
     bessel_j,
@@ -130,10 +130,9 @@ def _cutoff_and_tail_points():
     """
     pts = []
     for x in (0.75, 6.5, 37.25, 100.0, 200.0, 1000.0):
-        u = int(_start_orders(np.array([x]))[0])
-        cut = next((n for n in range(u)
-                    if _seed_orders(np.array([x]), n, np.array([u]))[0] == u + 8),
-                   u - 1)
+        u = int(ref_underflow_orders(np.array([x]))[0])
+        capped = ref_starts(np.full(u, x), np.arange(u)) == u + 8
+        cut = int(np.argmax(capped)) if capped.any() else u - 1
         orders = {int(x) - 1, int(x), int(x) + 1, cut - 2, cut - 1, cut,
                   cut + 1, u - 3, u - 1}
         pts += [(n, x) for n in sorted(orders) if n >= 0]
@@ -199,12 +198,19 @@ class TestStartOrders:
 
     def check(self, n, x):
         n, x = np.asarray(n, dtype=np.int64), np.asarray(x, dtype=float)
-        assert np.array_equal(_start_orders(x), ref_underflow_orders(x))
-        assert np.array_equal(_starts(x, n), ref_starts(x, n))
+        # U(x) is where the starts end: the first order with start 0
+        u = ref_underflow_orders(x)
+        assert (_starts(x, u) == 0).all() and (_starts(x, u - 1) > 0).all()
+        starts = _starts(x, n)
+        assert np.array_equal(starts, ref_starts(x, n))
+        return starts, u
 
     def test_cutoff_and_tail_points(self):
         pts = _cutoff_and_tail_points()
-        self.check([n for n, _ in pts], [x for _, x in pts])
+        starts, u = self.check([n for n, _ in pts], [x for _, x in pts])
+        # the Newton acceptance test rejects every start at the cap, so
+        # these come from the bracket
+        assert (starts == u + 8).any()
 
     def test_random_corpus(self):
         rng = np.random.default_rng(11)
@@ -308,6 +314,16 @@ def _split(a):
     # Dekker's split, high half: (2^27 + 1) a - ((2^27 + 1) a - a)
     t = a * 134217729.0
     return t - (t - a)
+
+
+def test_freeze_script_draws_the_frozen_points(monkeypatch):
+    # the script places its tail arguments by its own U(x); if that drifts,
+    # a refreeze would pin other points than these
+    root = Path(__file__).resolve().parent.parent
+    monkeypatch.syspath_prepend(str(root / "scripts"))
+    from freeze_bessel_bits import points
+
+    assert points() == [(n, x) for n, x, _ in FROZEN]
 
 
 def test_scalar_reproduces_frozen_bits():
@@ -423,3 +439,17 @@ def test_domain_errors():
             bessel_j_grid(bad_order, np.array([1.0, 2.0]))
     with pytest.raises(ValueError):  # abs() of the most negative int64 overflows
         bessel_j_grid(np.array([np.iinfo(np.int64).min, 0]), np.array([1.0, 2.0]))
+
+
+def test_argument_cap_refused_before_any_start(monkeypatch):
+    # past the cap the recurrence would run one step per unit of x from
+    # a start above x; the refusal comes before the start search
+    def no_start(x, n):
+        raise AssertionError("the start search ran")
+
+    monkeypatch.setattr(specfun, "_starts", no_start)
+    for x in (np.nextafter(ARGUMENT_CAP, np.inf), 1e9, np.inf, np.nan):
+        with pytest.raises(ValueError, match="arguments must be in"):
+            bessel_j_grid(0, np.array([1.0, x]))
+    with pytest.raises(AssertionError, match="start search"):
+        bessel_j_grid(0, np.array([ARGUMENT_CAP]))
