@@ -8,6 +8,7 @@ the x axis.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -40,18 +41,47 @@ _AMP_MAX = math.sqrt(1.0 + NORM_FIX)
 
 # theta grid cap, checked before the grid is allocated
 MAX_THETA_STEPS = 10**7
+# grating half-count cap, checked before a peak is allocated
+MAX_GRATING_N = 10**4
 
 
-class ConfigError(Exception):
-    """Carries every invariant violation found, as (field path, message) pairs."""
+class FieldError(ValueError):
+    """Every invariant violation found, as (field, message) pairs; a domain
+    type names its fields as the document does, relative to its own block."""
 
     def __init__(self, errors):
         self.errors = list(errors)
         super().__init__("; ".join(f"{p}: {m}" for p, m in self.errors))
 
 
+class ConfigError(FieldError):
+    """A rejected configuration document, paths from the document root; the
+    CLI exits 1 on it, and 2 on a bare FieldError raised inside an engine."""
+
+
+def _check(*rules):
+    """Raise FieldError naming every (field, message, ok) rule not ok."""
+    errors = [(f, m) for f, m, ok in rules if not ok]
+    if errors:
+        raise FieldError(errors)
+
+
 def _finite(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    # abs() keeps an int beyond the double range from overflowing
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max)
+
+
+def _positive(x) -> bool:
+    return _finite(x) and x > 0
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+_POSITIVE = "must be a finite number > 0"
+_PART = "must be a finite number of magnitude at most 1, so that sum |psi|^2 can be 1"
 
 
 @dataclass(frozen=True)
@@ -62,10 +92,9 @@ class Molecule:
     half_separation: float
 
     def __post_init__(self):
-        if not _finite(self.atom_mass) or self.atom_mass <= 0:
-            raise ValueError("atom_mass must be finite and > 0")
-        if not _finite(self.half_separation) or self.half_separation < 0:
-            raise ValueError("half_separation must be finite and >= 0")
+        _check(("mass", _POSITIVE, _positive(self.atom_mass)),
+               ("alpha", "must be a finite number >= 0",
+                _finite(self.half_separation) and self.half_separation >= 0))
 
     @property
     def moment_of_inertia(self) -> float:
@@ -74,28 +103,42 @@ class Molecule:
 
 @dataclass(frozen=True)
 class IncidentBeam:
-    """Plane wave along +y with a sparse set of internal-state amplitudes."""
+    """Plane wave along +y with a sparse set of internal-state amplitudes.
+
+    ``amplitudes`` maps l (int) -> complex, or lists (l, amplitude) pairs;
+    errors name the i-th state given (``amplitudes[i].re``). Zeros are dropped.
+    """
 
     wavenumber: float
     amplitudes: dict  # l (int) -> complex
 
     def __post_init__(self):
-        if not _finite(self.wavenumber) or self.wavenumber <= 0:
-            raise ValueError("wavenumber must be finite and > 0")
-        amps = {}
-        for l, a in self.amplitudes.items():
-            if not isinstance(l, int) or isinstance(l, bool):
-                raise ValueError("internal-state labels must be integers")
-            a = complex(a)
-            if not (math.isfinite(a.real) and math.isfinite(a.imag)):
-                raise ValueError("amplitudes must be finite")
-            if a != 0:
+        items = self.amplitudes
+        states = [(l, complex(a)) for l, a in
+                  (items.items() if isinstance(items, dict) else items)]
+        rules = [("k", _POSITIVE, _positive(self.wavenumber))]
+        amps, first = {}, {}
+        for i, (l, a) in enumerate(states):
+            p, label = f"amplitudes[{i}]", _is_int(l)
+            rules += [(p + ".l", "must be an integer", label),
+                      (p + ".l", f"|l| must be at most {ORDER_CAP}, the supported "
+                       "Bessel order cap", not label or abs(l) <= ORDER_CAP),
+                      (p + ".l", f"duplicate state label {l}",
+                       not label or first.setdefault(l, i) == i),
+                      (p + ".re", _PART, abs(a.real) <= _AMP_MAX),
+                      (p + ".im", _PART, abs(a.imag) <= _AMP_MAX)]
+            if label and first[l] == i and a != 0:
                 amps[l] = a
-        if not amps:
-            raise ValueError("at least one nonzero amplitude required")
-        norm = math.fsum(abs(a) ** 2 for a in amps.values())
-        if abs(norm - 1.0) > NORM_KEEP:
-            raise ValueError("amplitudes must satisfy sum |psi_l|^2 = 1 within 1e-12")
+        if all(_is_int(l) and math.isfinite(a.real) and math.isfinite(a.imag)
+               for l, a in states):
+            # an oversized part would overflow |psi|^2; it is off the band anyway
+            big = any(abs(x) > _AMP_MAX for a in amps.values() for x in (a.real, a.imag))
+            norm = math.inf if big else math.fsum(abs(a) ** 2 for a in amps.values())
+            rules += [("amplitudes", "at least one nonzero amplitude required",
+                       bool(amps)),
+                      ("amplitudes", f"sum |psi|^2 = {norm!r}, not 1",
+                       not amps or abs(norm - 1.0) <= NORM_KEEP)]
+        _check(*rules)
         object.__setattr__(self, "amplitudes", amps)
 
     def sorted_states(self):
@@ -109,12 +152,10 @@ class PeakShape:
     width: float
 
     def __post_init__(self):
-        if self.variant not in PEAK_VARIANTS:
-            raise ValueError(f"variant must be one of {PEAK_VARIANTS}")
-        if not _finite(self.strength):
-            raise ValueError("strength must be finite")
-        if not _finite(self.width) or self.width <= 0:
-            raise ValueError("width must be finite and > 0")
+        _check(("variant", f"must be one of {list(PEAK_VARIANTS)}",
+                self.variant in PEAK_VARIANTS),
+               ("v0", "must be a finite number", _finite(self.strength)),
+               ("delta", _POSITIVE, _positive(self.width)))
 
 
 @dataclass(frozen=True)
@@ -123,8 +164,7 @@ class Peak:
     shape: PeakShape
 
     def __post_init__(self):
-        if not _finite(self.center_x):
-            raise ValueError("center_x must be finite")
+        _check(("center", "must be a finite number", _finite(self.center_x)))
 
 
 @dataclass(frozen=True)
@@ -132,12 +172,26 @@ class PotentialSpec:
     peaks: tuple
 
     def __post_init__(self):
-        if not self.peaks:
-            raise ValueError("potential needs at least one peak")
         object.__setattr__(self, "peaks", tuple(self.peaks))
-        for p in self.peaks:
-            if not isinstance(p, Peak):
-                raise ValueError("peaks must be Peak instances")
+        _check(("peaks", "must list at least one peak", bool(self.peaks)),
+               ("peaks", "must be Peak instances",
+                all(isinstance(p, Peak) for p in self.peaks)))
+
+
+def make_grating(half_count: int, spacing: float, shape: PeakShape) -> PotentialSpec:
+    """2*half_count + 1 identical peaks at n*spacing, n = -half_count..half_count.
+
+    The count (field ``n``) and spacing (``d``) are checked before any peak exists.
+    """
+    n_ok = _is_int(half_count) and half_count >= 0
+    _check(("n", "must be an integer >= 0", n_ok),
+           ("n", f"must be <= {MAX_GRATING_N}", not n_ok or half_count <= MAX_GRATING_N),
+           ("d", _POSITIVE, _positive(spacing)))
+    # the outermost peaks sit at +-n*d
+    _check(("d", "n * d must be a finite number", _finite(half_count * spacing)))
+    peaks = [Peak(center_x=n * spacing, shape=shape)
+             for n in range(-half_count, half_count + 1)]
+    return PotentialSpec(peaks=tuple(peaks))
 
 
 @dataclass(frozen=True)
@@ -148,18 +202,20 @@ class ScanSpec:
     k_values: tuple = ()
 
     def __post_init__(self):
-        if not _finite(self.theta_min) or not _finite(self.theta_max):
-            raise ValueError("theta bounds must be finite")
-        if self.theta_max <= self.theta_min:
-            raise ValueError("theta max must exceed theta min")
-        if not isinstance(self.theta_steps, int) or self.theta_steps < 2:
-            raise ValueError("theta steps must be an integer >= 2")
-        if self.theta_steps > MAX_THETA_STEPS:
-            raise ValueError(f"theta steps must be <= {MAX_THETA_STEPS}")
-        object.__setattr__(self, "k_values", tuple(float(k) for k in self.k_values))
-        for k in self.k_values:
-            if not _finite(k) or k <= 0:
-                raise ValueError("scan k values must be finite and > 0")
+        lo, hi, steps = self.theta_min, self.theta_max, self.theta_steps
+        ks = tuple(self.k_values)
+        bounds = _finite(lo) and _finite(hi)
+        _check(("theta.min", "must be a finite number", _finite(lo)),
+               ("theta.max", "must be a finite number", _finite(hi)),
+               ("theta.max", "must exceed theta.min", not bounds or hi > lo),
+               # linspace steps by (max - min), which must not overflow
+               ("theta.max", "theta.max - theta.min must be a finite number",
+                not bounds or _finite(hi - lo)),
+               ("theta.steps", "must be an integer >= 2", _is_int(steps) and steps >= 2),
+               ("theta.steps", f"must be <= {MAX_THETA_STEPS}",
+                not _is_int(steps) or steps <= MAX_THETA_STEPS),
+               *((f"k[{i}]", _POSITIVE, _positive(k)) for i, k in enumerate(ks)))
+        object.__setattr__(self, "k_values", tuple(float(k) for k in ks))
 
     def thetas(self) -> np.ndarray:
         return np.linspace(self.theta_min, self.theta_max, self.theta_steps)
@@ -217,183 +273,103 @@ class CrossSectionProfile:
 # ---------------------------------------------------------------------------
 # configuration document handling
 
-def _num(doc, path, errors, *, default=None, minimum=None, strict_min=False,
-         label=None):
-    label = label or path
-    cur = doc
-    for part in path.split("."):
-        if not isinstance(cur, dict) or part not in cur:
-            if default is not None:
-                return default
-            errors.append((label, "missing required number"))
-            return None
-        cur = cur[part]
-    if not _finite(cur):
-        errors.append((label, "must be a finite number"))
-        return None
-    v = float(cur)
-    if minimum is not None and (v <= minimum if strict_min else v < minimum):
-        cmp = ">" if strict_min else ">="
-        errors.append((label, f"must be {cmp} {minimum}"))
-        return None
-    return v
+def _num(x):
+    # a document number as a float; anything else as NaN, which the types refuse
+    return float(x) if _finite(x) else math.nan
 
 
-def _shape_from_doc(doc, path, errors) -> Optional[PeakShape]:
-    if not isinstance(doc, dict):
+def _block(value):
+    # a missing or non-object block as {}, so that each of its fields is missing
+    return value if isinstance(value, dict) else {}
+
+
+def _object(errors, path, value):
+    if not isinstance(value, dict):
         errors.append((path, "must be an object"))
         return None
-    variant = doc.get("variant")
-    if variant not in PEAK_VARIANTS:
-        errors.append((path + ".variant", f"must be one of {list(PEAK_VARIANTS)}"))
+    return value
+
+
+def _build(errors, path, make, *args, **fields):
+    """make(*args, **fields), with its FieldError pairs re-rooted under path."""
+    try:
+        return make(*args, **fields)
+    except FieldError as exc:
+        errors.extend((f"{path}.{f}", m) for f, m in exc.errors)
         return None
-    v0 = _num(doc, "v0", errors, label=path + ".v0")
-    delta = _num(doc, "delta", errors, minimum=0.0, strict_min=True,
-                 label=path + ".delta")
-    if v0 is None or delta is None:
-        return None
-    return PeakShape(variant=variant, strength=v0, width=delta)
-
-
-def make_grating(half_count: int, spacing: float, shape: PeakShape) -> PotentialSpec:
-    """2*half_count + 1 identical peaks at n*spacing, n = -half_count..half_count."""
-    if not isinstance(half_count, int) or half_count < 0:
-        raise ValueError("half_count must be an integer >= 0")
-    if not _finite(spacing) or spacing <= 0:
-        raise ValueError("spacing must be finite and > 0")
-    peaks = [Peak(center_x=n * spacing, shape=shape)
-             for n in range(-half_count, half_count + 1)]
-    return PotentialSpec(peaks=tuple(peaks))
-
-
-def _channel_order_reach(k: float, alpha: float, states) -> float:
-    """Upper bound on |l_in - l_out| over the open channels at wavenumber k
-    (one order of slack for the closed forms' even rounding)."""
-    return max(abs(l) + math.hypot(l, k * alpha) + 2.0 for l in states)
 
 
 def validate_config(doc) -> Config:
     """Build validated domain objects from a parsed JSON document.
 
-    Every violated invariant is collected with its field path; one
-    ConfigError reports them all. Beam amplitudes off unit norm by at
-    most 1e-6 are renormalized; beyond that the document is rejected.
+    The domain types check their own fields; this walks the document,
+    names each of their errors by its document path, and adds what no
+    single type can know. Every error is collected; one ConfigError
+    reports them all. Beam amplitudes off unit norm by at most 1e-6 are
+    renormalized; beyond that the beam refuses them.
     """
-    errors = []
     if not isinstance(doc, dict):
         raise ConfigError([("", "configuration must be a JSON object")])
+    errors = []
 
-    mass = _num(doc, "molecule.mass", errors, minimum=0.0, strict_min=True)
-    alpha = _num(doc, "molecule.alpha", errors, minimum=0.0)
-    molecule = None
-    if mass is not None and alpha is not None:
-        molecule = Molecule(atom_mass=mass, half_separation=alpha)
+    mol = _block(doc.get("molecule"))
+    alpha = _num(mol.get("alpha"))
+    molecule = _build(errors, "molecule", Molecule,
+                      atom_mass=_num(mol.get("mass")), half_separation=alpha)
 
-    k = _num(doc, "beam.k", errors, minimum=0.0, strict_min=True)
-    amps_doc = doc.get("beam", {}).get("amplitudes") if isinstance(doc.get("beam"), dict) else None
-    beam = None
-    amps = {}
-    if amps_doc is None:
-        amps = {0: complex(1.0, 0.0)}
-    elif not isinstance(amps_doc, list) or not amps_doc:
-        errors.append(("beam.amplitudes", "must be a non-empty list"))
-    else:
-        for i, entry in enumerate(amps_doc):
-            p = f"beam.amplitudes[{i}]"
-            if not isinstance(entry, dict):
-                errors.append((p, "must be an object with l, re, im"))
-                continue
-            l = entry.get("l")
-            if not isinstance(l, int) or isinstance(l, bool):
-                errors.append((p + ".l", "must be an integer"))
-                continue
-            if abs(l) > ORDER_CAP:
-                errors.append((p + ".l", f"|l| must be at most {ORDER_CAP}, "
-                               "the supported Bessel order cap"))
-                continue
-            re = _num(entry, "re", errors, default=0.0, label=p + ".re")
-            im = _num(entry, "im", errors, default=0.0, label=p + ".im")
-            if re is None or im is None:
-                continue
-            for part, v in (("re", re), ("im", im)):
-                if abs(v) > _AMP_MAX:
-                    errors.append((f"{p}.{part}", f"{v!r} exceeds 1 in magnitude, "
-                                   "so sum |psi|^2 cannot be 1"))
-            if l in amps:
-                errors.append((p + ".l", f"duplicate state label {l}"))
-                continue
-            if alpha == 0.0 and l != 0 and complex(re, im) != 0:
-                errors.append((p + ".l", f"state l = {l} needs molecule.alpha "
-                               "> 0; a rotor with alpha = 0 has only l = 0"))
-            amps[l] = complex(re, im)
-    if k is not None and amps:
-        nonzero = {l: a for l, a in amps.items() if a != 0}
-        if not nonzero:
-            errors.append(("beam.amplitudes", "all amplitudes are zero"))
-        else:
-            # |psi|^2 of an oversized component can overflow; its sum is
-            # off the unit band either way
-            oversized = any(max(abs(a.real), abs(a.imag)) > _AMP_MAX
-                            for a in nonzero.values())
-            norm = math.inf if oversized else math.fsum(
-                abs(a) ** 2 for a in nonzero.values())
-            if abs(norm - 1.0) > NORM_FIX:
-                errors.append(("beam.amplitudes",
-                               f"sum |psi|^2 = {norm!r} is farther than 1e-6 from 1"))
-            else:
-                if abs(norm - 1.0) > NORM_KEEP:
-                    r = 1.0 / math.sqrt(norm)
-                    nonzero = {l: a * r for l, a in nonzero.items()}
-                try:
-                    beam = IncidentBeam(wavenumber=k, amplitudes=nonzero)
-                except ValueError as exc:
-                    errors.append(("beam", str(exc)))
+    beam_doc = _block(doc.get("beam"))
+    states = beam_doc.get("amplitudes")
+    pairs = [(0, 1 + 0j)]  # the default, kept by a malformed list so k is still checked
+    if isinstance(states, list):
+        entries = [_object(errors, f"beam.amplitudes[{i}]", s) for i, s in enumerate(states)]
+        if None not in entries:
+            pairs = [(s.get("l"), complex(_num(s.get("re", 0.0)), _num(s.get("im", 0.0))))
+                     for s in entries]
+            errors += [(f"beam.amplitudes[{i}].l", f"state l = {l} needs molecule.alpha "
+                        "> 0; a rotor with alpha = 0 has only l = 0")
+                       for i, (l, a) in enumerate(pairs)
+                       if alpha == 0.0 and _is_int(l) and l != 0 and a != 0]
+    elif states is not None:
+        errors.append(("beam.amplitudes", "must be a list of objects"))
+    if all(abs(x) <= _AMP_MAX for _, a in pairs for x in (a.real, a.imag)):
+        norm = math.fsum(abs(a) ** 2 for _, a in pairs)
+        if NORM_KEEP < abs(norm - 1.0) <= NORM_FIX:
+            r = 1.0 / math.sqrt(norm)
+            pairs = [(l, a * r) for l, a in pairs]
+    beam = _build(errors, "beam", IncidentBeam,
+                  wavenumber=_num(beam_doc.get("k")), amplitudes=pairs)
 
-    potential = None
-    grating_echo = None
-    pot = doc.get("potential")
-    if not isinstance(pot, dict):
-        errors.append(("potential", "missing required object"))
-    else:
-        kind = pot.get("kind")
-        if kind == "peaks":
-            peaks_doc = pot.get("peaks")
-            if not isinstance(peaks_doc, list) or not peaks_doc:
-                errors.append(("potential.peaks", "must be a non-empty list"))
-            else:
-                peaks = []
-                n_before = len(errors)
-                for i, pk in enumerate(peaks_doc):
-                    p = f"potential.peaks[{i}]"
-                    if not isinstance(pk, dict):
-                        errors.append((p, "must be an object"))
-                        continue
-                    center = pk.get("center")
-                    if not _finite(center):
-                        errors.append((p + ".center", "missing or non-finite"))
-                        continue
-                    shape = _shape_from_doc(pk.get("shape"), p + ".shape", errors)
-                    if shape is not None:
-                        peaks.append(Peak(center_x=float(center), shape=shape))
-                if peaks and len(errors) == n_before:
-                    potential = PotentialSpec(peaks=tuple(peaks))
-        elif kind == "grating":
-            g = pot.get("grating")
-            if not isinstance(g, dict):
-                errors.append(("potential.grating", "missing required object"))
-            else:
-                n = g.get("n")
-                if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-                    errors.append(("potential.grating.n", "must be an integer >= 0"))
-                    n = None
-                d = _num(g, "d", errors, minimum=0.0, strict_min=True,
-                         label="potential.grating.d")
-                shape = _shape_from_doc(g.get("shape"), "potential.grating.shape", errors)
-                if n is not None and d is not None and shape is not None:
-                    potential = make_grating(n, d, shape)
-                    grating_echo = (n, d)
-        else:
-            errors.append(("potential.kind", "must be 'peaks' or 'grating'"))
+    def shape_at(path, s):
+        s = _object(errors, path, s)
+        return None if s is None else _build(
+            errors, path, PeakShape, variant=s.get("variant"),
+            strength=_num(s.get("v0")), width=_num(s.get("delta")))
+
+    def peak_at(path, pk):
+        pk = _object(errors, path, pk)
+        return None if pk is None else _build(
+            errors, path, Peak, center_x=_num(pk.get("center")),
+            shape=shape_at(path + ".shape", pk.get("shape")))
+
+    potential = grating = None
+    pot = _object(errors, "potential", doc.get("potential"))
+    kind = None if pot is None else pot.get("kind")
+    if kind == "peaks" and isinstance(pot.get("peaks"), list):
+        before = len(errors)
+        peaks = [peak_at(f"potential.peaks[{i}]", pk) for i, pk in enumerate(pot["peaks"])]
+        if len(errors) == before:
+            potential = _build(errors, "potential", PotentialSpec, peaks=peaks)
+    elif kind == "peaks":
+        errors.append(("potential.peaks", "must be a list of peaks"))
+    elif kind == "grating":
+        g = _object(errors, "potential.grating", pot.get("grating"))
+        if g is not None:
+            shape = shape_at("potential.grating.shape", g.get("shape"))
+            n, d = g.get("n"), _num(g.get("d"))
+            potential = _build(errors, "potential.grating", make_grating, n, d, shape)
+            grating = (n, d)
+    elif pot is not None:
+        errors.append(("potential.kind", "must be 'peaks' or 'grating'"))
 
     engine = doc.get("engine", {"variant": "general"})
     variant = engine.get("variant") if isinstance(engine, dict) else None
@@ -401,46 +377,25 @@ def validate_config(doc) -> Config:
         errors.append(("engine.variant", f"must be one of {list(ENGINE_VARIANTS)}"))
 
     scan = None
-    if "scan" in doc:
-        s = doc["scan"]
-        if not isinstance(s, dict):
-            errors.append(("scan", "must be an object"))
-        else:
-            tmin = _num(s, "theta.min", errors, label="scan.theta.min")
-            tmax = _num(s, "theta.max", errors, label="scan.theta.max")
-            steps = None
-            t = s.get("theta")
-            if isinstance(t, dict):
-                steps = t.get("steps")
-                if not isinstance(steps, int) or isinstance(steps, bool) or steps < 2:
-                    errors.append(("scan.theta.steps", "must be an integer >= 2"))
-                    steps = None
-                elif steps > MAX_THETA_STEPS:
-                    errors.append(("scan.theta.steps", f"must be <= {MAX_THETA_STEPS}"))
-                    steps = None
-            ks = s.get("k", [])
-            k_ok = True
-            if not isinstance(ks, list):
-                errors.append(("scan.k", "must be a list of numbers"))
-                k_ok = False
-            else:
-                for i, kv in enumerate(ks):
-                    if not _finite(kv) or kv <= 0:
-                        errors.append((f"scan.k[{i}]", "must be finite and > 0"))
-                        k_ok = False
-            if tmin is not None and tmax is not None and steps is not None and k_ok:
-                if tmax <= tmin:
-                    errors.append(("scan.theta.max", "must exceed scan.theta.min"))
-                else:
-                    scan = ScanSpec(theta_min=tmin, theta_max=tmax,
-                                    theta_steps=steps, k_values=tuple(ks))
+    s = _object(errors, "scan", doc["scan"]) if "scan" in doc else None
+    if s is not None:
+        ks = s.get("k", [])
+        if not isinstance(ks, list):
+            errors.append(("scan.k", "must be a list of numbers"))
+            ks = []
+        theta = _block(s.get("theta"))
+        scan = _build(errors, "scan", ScanSpec, theta_min=_num(theta.get("min")),
+                      theta_max=_num(theta.get("max")), theta_steps=theta.get("steps"),
+                      k_values=[_num(k) for k in ks])
 
-    if variant in _CHANNEL_ENGINES and alpha is not None and beam is not None:
+    if variant in _CHANNEL_ENGINES and molecule is not None and beam is not None:
         wavenumbers = [("beam.k", beam.wavenumber)]
         if scan is not None:
             wavenumbers += [(f"scan.k[{i}]", kv) for i, kv in enumerate(scan.k_values)]
         for path, kv in wavenumbers:
-            reach = _channel_order_reach(kv, alpha, beam.amplitudes)
+            # bound on |l_in - l_out| over the open channels at kv, with one
+            # order of slack for the closed forms' even rounding
+            reach = max(abs(l) + math.hypot(l, kv * alpha) + 2.0 for l in beam.amplitudes)
             if reach > ORDER_CAP:
                 errors.append((path, f"with molecule.alpha = {alpha!r} the channels "
                                f"reach Bessel order {reach:.6g}, beyond the "
@@ -449,7 +404,7 @@ def validate_config(doc) -> Config:
     if errors:
         raise ConfigError(errors)
     return Config(molecule=molecule, beam=beam, potential=potential,
-                  engine_variant=variant, scan=scan, grating=grating_echo)
+                  engine_variant=variant, scan=scan, grating=grating)
 
 
 def serialize_config(config: Config) -> dict:
@@ -462,21 +417,18 @@ def serialize_config(config: Config) -> dict:
         "beam": {"k": config.beam.wavenumber, "amplitudes": amps},
         "engine": {"variant": config.engine_variant},
     }
+
+    def shape(s):
+        return {"variant": s.variant, "v0": s.strength, "delta": s.width}
+
     if config.grating is not None:
         n, d = config.grating
-        shape = config.potential.peaks[0].shape
-        doc["potential"] = {"kind": "grating",
-                            "grating": {"n": n, "d": d,
-                                        "shape": {"variant": shape.variant,
-                                                  "v0": shape.strength,
-                                                  "delta": shape.width}}}
+        doc["potential"] = {"kind": "grating", "grating": {
+            "n": n, "d": d, "shape": shape(config.potential.peaks[0].shape)}}
     else:
-        doc["potential"] = {"kind": "peaks",
-                            "peaks": [{"center": p.center_x,
-                                       "shape": {"variant": p.shape.variant,
-                                                 "v0": p.shape.strength,
-                                                 "delta": p.shape.width}}
-                                      for p in config.potential.peaks]}
+        doc["potential"] = {"kind": "peaks", "peaks": [
+            {"center": p.center_x, "shape": shape(p.shape)}
+            for p in config.potential.peaks]}
     if config.scan is not None:
         doc["scan"] = {"theta": {"min": config.scan.theta_min,
                                  "max": config.scan.theta_max,

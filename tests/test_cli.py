@@ -12,7 +12,8 @@ import pytest
 from rotor_scatter import output, specfun
 from rotor_scatter.born import profile_closed
 from rotor_scatter.cli import main
-from rotor_scatter.model import CLOSED_TWINS, MAX_THETA_STEPS, ScanSpec
+from rotor_scatter.model import (CLOSED_TWINS, MAX_GRATING_N, MAX_THETA_STEPS, Peak,
+                                 ScanSpec)
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -140,6 +141,40 @@ class TestProfile:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert f"config error: scan.theta.steps: must be <= {MAX_THETA_STEPS}" in err
+
+    @pytest.mark.parametrize("n", [MAX_GRATING_N + 1, 10**30])
+    def test_huge_grating_exits_1_before_allocating(self, tmp_path, capsys,
+                                                    monkeypatch, n):
+        def no_peak(self):
+            raise AssertionError("no grating peak may be built")
+
+        monkeypatch.setattr(Peak, "__post_init__", no_peak)
+        doc = two_slit_doc()
+        doc["potential"] = {"kind": "grating", "grating": {
+            "n": n, "d": 1.0,
+            "shape": {"variant": "gaussian", "v0": 1.0, "delta": 1.0}}}
+        cfg = write_config(tmp_path, doc)
+        assert main(["profile", "--config", cfg, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err == f"config error: potential.grating.n: must be <= {MAX_GRATING_N}\n"
+
+    def test_overflowing_spans_exit_1_without_warning(self, tmp_path):
+        # linspace over a theta span past the double range warns and then
+        # fails in the engine; a grating's outer peaks at +-n*d overflow
+        span, grating = two_slit_doc(), two_slit_doc()
+        span["scan"]["theta"].update({"min": -1.7e308, "max": 1.7e308})
+        grating["potential"] = {"kind": "grating", "grating": {
+            "n": 2, "d": 1e308,
+            "shape": {"variant": "gaussian", "v0": 1.0, "delta": 1.0}}}
+        for name, doc, field in (("span", span, "scan.theta.max"),
+                                 ("grating", grating, "potential.grating.d")):
+            proc = run_cli_process(["profile", "--config",
+                                    write_config(tmp_path, doc, f"{name}.json"),
+                                    "--out", str(tmp_path)])
+            assert proc.returncode == 1
+            assert proc.stderr.count("\n") == 1, proc.stderr
+            assert proc.stderr.startswith(f"config error: {field}: ")
 
     def test_rotational_state_without_arm_exits_1(self, tmp_path, capsys):
         doc = two_slit_doc()

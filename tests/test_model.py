@@ -1,19 +1,26 @@
 """Domain objects and configuration validation."""
 
+import copy
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotor_scatter.kinematics import geometry_grid, open_channels
 from rotor_scatter.specfun import ARGUMENT_CAP
 from rotor_scatter.model import (
     GAUSSIAN,
+    MAX_GRATING_N,
     MAX_THETA_STEPS,
     POLYNOMIAL_GAUSSIAN,
     Config,
     ConfigError,
     CrossSectionProfile,
+    FieldError,
     IncidentBeam,
     Molecule,
     Peak,
@@ -125,6 +132,28 @@ class TestScanSpec:
             ScanSpec(theta_min=1.0, theta_max=1.0, theta_steps=5)
         with pytest.raises(ValueError):
             ScanSpec(theta_min=0.0, theta_max=1.0, theta_steps=1)
+
+
+class TestFieldErrors:
+    SHAPE = PeakShape(variant=GAUSSIAN, strength=1.0, width=1.0)
+
+    @pytest.mark.parametrize("make, fields", [
+        (lambda: Molecule(atom_mass=0.0, half_separation=-1.0), {"mass", "alpha"}),
+        (lambda: IncidentBeam(wavenumber=0.0, amplitudes=[(0, 1.0), (0, 0.0), (0.5, 2.0)]),
+         {"k", "amplitudes[1].l", "amplitudes[2].l", "amplitudes[2].re"}),
+        (lambda: PeakShape(variant="x", strength=math.inf, width=0.0),
+         {"variant", "v0", "delta"}),
+        (lambda: Peak(center_x=math.nan, shape=TestFieldErrors.SHAPE), {"center"}),
+        (lambda: ScanSpec(theta_min=1.0, theta_max=0.0, theta_steps=1,
+                          k_values=(1.0, -1.0)), {"theta.max", "theta.steps", "k[1]"}),
+        (lambda: make_grating(MAX_GRATING_N + 1, 0.0, TestFieldErrors.SHAPE), {"n", "d"}),
+    ], ids=["molecule", "beam", "shape", "peak", "scan", "grating"])
+    def test_types_name_every_bad_field_as_the_document_does(self, make, fields):
+        # a plain ValueError to engines (exit 2), re-rooted by validate_config
+        with pytest.raises(FieldError) as exc:
+            make()
+        assert not isinstance(exc.value, ConfigError)
+        assert {f for f, _ in exc.value.errors} == fields
 
 
 class TestValidateConfig:
@@ -362,3 +391,47 @@ class TestCrossSectionProfile:
     def test_rejects_single_sample(self):
         with pytest.raises(ValueError):
             CrossSectionProfile(thetas=np.array([0.0]), sigma=np.array([1.0]))
+
+
+SHIPPED = {path.stem: json.loads(path.read_text(encoding="utf-8"))
+           for path in sorted((pathlib.Path(__file__).resolve().parent.parent
+                               / "configs").glob("*.json"))}
+# wrong types, values at and past the double range, an int past 2**53 and
+# past the double range, and grating counts past the cap
+LEAF_POOL = (None, True, False, "x", "", [], [1.0], {}, 0, -1, 0.5, 1e308, -1e308,
+             1.7e308, 1e-320, 2**53 + 1, 10**400, math.inf, -math.inf, math.nan,
+             MAX_GRATING_N + 1, 10**30)
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _leaf_paths(child, path + (key,))
+    else:
+        yield path
+
+
+@settings(max_examples=800, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(SHIPPED)),
+       st.lists(st.tuples(st.integers(0, 63), st.sampled_from(LEAF_POOL)),
+                min_size=1, max_size=3))
+def test_mutated_shipped_configs_accept_or_name_fields(name, mutations):
+    # any leaf may change; the document is either accepted and
+    # round-trips, or refused with paths under its own top-level blocks
+    doc = copy.deepcopy(SHIPPED[name])
+    paths = list(_leaf_paths(doc))
+    for index, value in mutations:
+        *parents, key = paths[index % len(paths)]
+        node = doc
+        for step in parents:
+            node = node[step]
+        node[key] = value
+    try:
+        config = validate_config(doc)
+    except ConfigError as exc:
+        assert exc.errors
+        for path, _ in exc.errors:
+            assert path.split(".")[0].split("[")[0] in doc, path
+        return
+    echo = serialize_config(config)
+    assert serialize_config(validate_config(echo)) == echo
