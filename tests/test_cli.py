@@ -1,19 +1,25 @@
 """End-to-end command-line behavior: exit codes, files, determinism."""
 
+import contextlib
+import copy
+import io
 import json
 import math
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rotor_scatter import output, specfun
 from rotor_scatter.born import profile_closed
 from rotor_scatter.cli import main
-from rotor_scatter.model import (CLOSED_TWINS, MAX_GRATING_N, MAX_THETA_STEPS, Peak,
-                                 ScanSpec)
+from rotor_scatter.model import (CLOSED_TWINS, MAX_GRATING_N, MAX_THETA_STEPS, ConfigError,
+                                 Peak, ScanSpec, validate_config)
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -105,6 +111,47 @@ class TestProfile:
         assert main(["profile", "--config", str(bad),
                      "--out", str(tmp_path)]) == 1
         assert "not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data, message", [
+        (b"\xff\xfe", "error: cannot read config "),
+        (b"[" * 100_000, "is not valid JSON: maximum recursion depth exceeded")],
+        ids=["not_utf8", "deep_array"])
+    def test_undecodable_config_exits_1(self, tmp_path, capsys, data, message):
+        # a UnicodeDecodeError is a ValueError, and a deep array stops the
+        # decoder with a RecursionError: both are unreadable configs
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(data)
+        assert main(["profile", "--config", str(bad), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1, err
+
+    def test_unwritable_out_exits_1_without_traceback(self, tmp_path):
+        out = tmp_path / "a_file"
+        out.write_text("", encoding="utf-8")
+        proc = run_cli_process(["profile", "--config", str(CONFIGS / "minimal.json"),
+                                "--out", str(out)])
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith(f"error: cannot write {out}/profile_")
+
+    @pytest.mark.parametrize("field, value", [
+        ("v0", 1e-200), ("mass", 1e-200), ("delta", 1e-160), ("delta", 1e100),
+        ("v0", 0.0)])
+    def test_all_zero_sigma_exits_2(self, tmp_path, capsys, field, value):
+        # sigma below the double range, or of a potential that vanishes,
+        # is 0.0 at every angle: refused rather than written as a profile
+        doc = json.loads((CONFIGS / "minimal.json").read_text(encoding="utf-8"))
+        if field == "mass":
+            doc["molecule"]["mass"] = value
+        else:
+            doc["potential"]["peaks"][0]["shape"][field] = value
+        out = tmp_path / "out"
+        assert main(["profile", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "numerical failure: sigma is 0 at every angle at k=2.0: it is below "
+            "the double range, or v0 = 0 on every peak\n")
+        assert not out.exists()
 
     def test_config_errors_listed_and_exit_1(self, tmp_path, capsys):
         doc = two_slit_doc()
@@ -506,3 +553,94 @@ class TestUsage:
                                "--help"], capture_output=True, text=True)
         assert proc.returncode == 0
         assert "profile" in proc.stdout and "bessel-table" in proc.stdout
+
+
+# magnitudes at which sigma or a peak's transform leaves the double range,
+# then the config fuzzer's leaf pool (tests/test_model.py); hypothesis draws
+# the first entries most, and most of the others refuse the document
+RUN_LEAF_POOL = (1e-200, 1e100, 0.5, None, True, False, "x", "", [], [1.0], {}, 0, -1,
+                 1e308, -1e308, 1.7e308, 1e-320, 2**53 + 1, 10**400, math.inf,
+                 -math.inf, math.nan, MAX_GRATING_N + 1, 10**30)
+
+
+def _shrunk(doc):
+    doc["scan"]["theta"]["steps"] = 101
+    doc["scan"]["k"] = doc["scan"]["k"][:2]
+    return doc
+
+
+SHRUNK = {path.stem: _shrunk(json.loads(path.read_text(encoding="utf-8")))
+          for path in sorted(CONFIGS.glob("*.json"))}
+
+
+def _leaves(node, path=()):
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _leaves(child, path + (key,))
+    else:
+        yield path
+
+
+def _affordable(doc):
+    """Refused, or at most 101 angles and k * alpha <= 20 at every k."""
+    try:
+        cfg = validate_config(doc)
+    except ConfigError:
+        return True
+    ks = (cfg.beam.wavenumber, *(cfg.scan.k_values if cfg.scan else ()))
+    return (max(ks) * cfg.molecule.half_separation <= 20.0
+            and (cfg.scan is None or cfg.scan.theta_steps <= 101))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(("profile", "sweep", "compare", "bessel-table")),
+       st.sampled_from(sorted(SHRUNK)),
+       st.lists(st.tuples(st.integers(0, 63), st.sampled_from(RUN_LEAF_POOL)),
+                min_size=1, max_size=3),
+       st.sets(st.sampled_from(("csv", "json", "svg")), min_size=1),
+       st.sampled_from((1, 2)),
+       st.sampled_from((-1, 0, 3, 60, specfun.ORDER_CAP + 1)),
+       st.sampled_from((-1.0, 0.0, 1e-200, 0.5, 20.0, 1e100, math.inf, math.nan)),
+       st.booleans())
+def test_fuzzed_runs_exit_0_1_or_2(subcommand, name, mutations, formats, threads,
+                                   n_max, x, out_is_file):
+    """Runs on shipped configs with 1-3 leaves replaced, and bessel-table
+    calls, exit 0, 1 or 2 with no exception out of ``main``, and no CSV
+    they write holds a sigma column that is 0 at every angle.
+
+    Accepted documents keep k * alpha <= 20 and 101 angles, and ``--x`` is
+    at most 20 where it is accepted: a run's cost is unbounded until ROADMAP
+    item 6's work budget exists, and this test does not cover that budget.
+    """
+    doc = copy.deepcopy(SHRUNK[name])
+    paths = list(_leaves(doc))
+    for index, value in mutations:
+        *parents, key = paths[index % len(paths)]
+        node = doc
+        for step in parents:
+            node = node[step]
+        node[key] = value
+    assume(_affordable(doc))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = pathlib.Path(tmp) / "out"
+        if out_is_file:
+            out.write_text("", encoding="utf-8")
+        if subcommand == "bessel-table":
+            argv = [subcommand, "--n-max", str(n_max), f"--x={x!r}"]
+        else:
+            argv = [subcommand, "--config", write_config(pathlib.Path(tmp), doc),
+                    "--threads", str(threads)]
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main([*argv, "--out", str(out), "--format", ",".join(sorted(formats))])
+        assert code in (0, 1, 2)
+        if code:
+            return
+        run_dir = pathlib.Path(printed.getvalue().strip().splitlines()[-1])
+        for csv in run_dir.glob("*.csv"):
+            if csv.name != "bessel_table.csv":
+                sigma = np.loadtxt(csv, delimiter=",", skiprows=1, ndmin=2)[:, 1:]
+                if csv.name == "profile.csv":
+                    sigma = sigma[:, :1]  # the channel columns may vanish
+                assert (sigma != 0.0).any(axis=0).all(), (csv.name, doc)
