@@ -26,6 +26,7 @@ passes a grid holding them (a profile needs two ascending samples).
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -128,34 +129,83 @@ def _times_angular(internal, acc, q_x, w, d, half_count):
 # ---------------------------------------------------------------------------
 # engines over a theta grid
 
-def _channel_sum(channels, k, alpha, thetas, at_kappa, term):
-    """(sigma, per-channel terms) over the open channels.
+class ChannelRows(NamedTuple):
+    """A rotor's open channels at one k, and J_|n|(alpha |q|) over a theta
+    grid per (kappa, |n|) key, n = l_in - l_out (J_-n^2 == J_n^2 exactly)."""
+
+    channels: list
+    bess: dict
+
+
+def bessel_groups(thetas: np.ndarray, rotors):
+    """ChannelRows for each (beam, molecule) of ``rotors`` (None for an
+    engine without channels: None back), one list per group.
+
+    A group is a run of consecutive rotors; it closes once its keys hold
+    at least specfun.BLOCK elements (one per key and angle), and its rows
+    come from one specfun.bessel_j_grid call. Within it an element whose
+    argument equals that of its mirror, angle index size - 1 - i in the
+    same row, is not evaluated but copied from it. A value depends only
+    on its (n, x), so neither the group nor the skipped elements change
+    a bit. Each beam's channels are enumerated once, here.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    group, size = [], 0
+    for rotor in rotors:
+        if rotor is not None:
+            beam, molecule = rotor
+            channels = open_channels(beam, molecule)
+            keys = list(dict.fromkeys((ch.kappa, abs(ch.l_in - ch.l_out))
+                                      for ch in channels))
+            rotor = (beam.wavenumber, molecule.half_separation, channels, keys)
+            size += len(keys) * thetas.size
+        group.append(rotor)
+        if size >= specfun.BLOCK:
+            yield _bessel_pass(thetas, group)
+            group, size = [], 0
+    if group:
+        yield _bessel_pass(thetas, group)
+
+
+def _bessel_pass(thetas, group):
+    """The ChannelRows of a group of (k, alpha, channels, keys) or None:
+    one x = alpha |q| row per key, then one call for the rows' elements
+    that are not their mirror's repeat."""
+    row_keys = [(k, alpha, kappa, n) for k, alpha, _, keys in filter(None, group)
+                for kappa, n in keys]
+    xs = np.empty((len(row_keys), thetas.size))
+    for row, (k, alpha, kappa, _) in zip(xs, row_keys):
+        np.multiply(alpha, geometry_grid(k, kappa, thetas)[2], out=row)
+    ns = np.broadcast_to(np.array([n for *_, n in row_keys], dtype=np.int64)[:, None],
+                         xs.shape)
+    half = thetas.size // 2
+    back, front = xs[:, thetas.size - half:], xs[:, :half][:, ::-1]
+    mirrored = back == front
+    todo = np.ones(xs.shape, dtype=bool)
+    todo[:, thetas.size - half:] = ~mirrored
+    if xs.size:
+        xs[todo] = specfun.bessel_j_grid(ns[todo], xs[todo])
+    np.copyto(back, front, where=mirrored)
+    rows = iter(xs)  # zip takes one row per key
+    return [g and ChannelRows(g[2], dict(zip(g[3], rows))) for g in group]
+
+
+def _channel_sum(rows, k, thetas, at_kappa, term):
+    """(sigma, per-channel terms) over the open channels of ``rows``.
 
     at_kappa(q_x, q_y, |q|) runs once per outgoing kappa and only its
-    result is kept. J_n(alpha |q|) is evaluated once per (kappa, |n|) key,
-    n = l_in - l_out (J_-n^2 == J_n^2 exactly), all keys in one
-    specfun.bessel_j_grid call, which sorts the profile's elements by
-    start order; a value depends only on its (n, x), so the call's other
-    elements change no bit. term(channel, at_kappa result, J row) is
-    summed in channel order with compensated summation (bit-stable
-    outputs).
+    result is kept. term(channel, at_kappa result, J row) is summed in
+    channel order with compensated summation (bit-stable outputs). The J
+    rows are those bessel_groups made, alone or with the rows of the
+    other profiles of their group.
     """
-    keys = list(dict.fromkeys((ch.kappa, abs(ch.l_in - ch.l_out)) for ch in channels))
-    at = {}
-    xs = np.empty((len(keys), thetas.size))
-    for row, (kappa, _) in zip(xs, keys):
-        q_x, q_y, q_mag = geometry_grid(k, kappa, thetas)
-        if kappa not in at:
-            at[kappa] = at_kappa(q_x, q_y, q_mag)
-        np.multiply(alpha, q_mag, out=row)
-    orders = np.repeat([n for _, n in keys], thetas.size)
-    rows = specfun.bessel_j_grid(orders, xs.ravel()).reshape(xs.shape)
-    bess = dict(zip(keys, rows))
+    at = {kappa: at_kappa(*geometry_grid(k, kappa, thetas))
+          for kappa in dict.fromkeys(ch.kappa for ch in rows.channels)}
     total = np.zeros_like(thetas)
     comp = np.zeros_like(thetas)
     per = {}
-    for ch in channels:
-        t = term(ch, at[ch.kappa], bess[(ch.kappa, abs(ch.l_in - ch.l_out))])
+    for ch in rows.channels:
+        t = term(ch, at[ch.kappa], rows.bess[(ch.kappa, abs(ch.l_in - ch.l_out))])
         per[(ch.l_in, ch.l_out)] = t
         y = t - comp
         s = total + y
@@ -163,9 +213,20 @@ def _channel_sum(channels, k, alpha, thetas, at_kappa, term):
     return total, per
 
 
+def _rows_alone(thetas, beam, molecule):
+    """The ChannelRows of one profile, a group of one."""
+    [rows] = next(bessel_groups(thetas, [(beam, molecule)]))
+    return rows
+
+
 def profile_general(thetas: np.ndarray, molecule: Molecule, beam: IncidentBeam,
-                    spec: PotentialSpec) -> CrossSectionProfile:
-    """Channel-summed profile with per-channel arrays."""
+                    spec: PotentialSpec, rows: ChannelRows | None = None
+                    ) -> CrossSectionProfile:
+    """Channel-summed profile with per-channel arrays.
+
+    ``rows`` are this (beam, molecule)'s from bessel_groups on ``thetas``;
+    without them the profile is a group of one.
+    """
     thetas = np.asarray(thetas, dtype=float)
     k = beam.wavenumber
     c = _rotor_prefactor(molecule.atom_mass, k)
@@ -177,8 +238,9 @@ def profile_general(thetas: np.ndarray, molecule: Molecule, beam: IncidentBeam,
     def term(ch, v2_k, bess):
         return (c * ch.weight / math.pi ** 2) * bess * bess * v2_k
 
-    sigma, per = _channel_sum(open_channels(beam, molecule), k,
-                              molecule.half_separation, thetas, v2, term)
+    if rows is None:
+        rows = _rows_alone(thetas, beam, molecule)
+    sigma, per = _channel_sum(rows, k, thetas, v2, term)
     return CrossSectionProfile(thetas=thetas, sigma=sigma, per_channel=per,
                                metadata={"engine": "general", "k": k})
 
@@ -195,17 +257,29 @@ def profile_structureless(thetas: np.ndarray, mass: float, k: float,
                                metadata={"engine": "structureless", "k": k})
 
 
+def closed_rotor(variant: str, k: float, alpha: float | None):
+    """(beam, molecule) whose open channels the closed ``variant`` sums at
+    k: an l = 0 beam on a rotor of arm alpha, or of arm 0 for a
+    structureless twin."""
+    if variant in _INTERNAL_OF:
+        alpha = 0.0
+    return (IncidentBeam(wavenumber=k, amplitudes={0: 1.0}),
+            Molecule(atom_mass=1.0, half_separation=alpha))
+
+
 def profile_closed(variant: str, thetas: np.ndarray, *, mass: float, v0: float,
                    delta: float, k: float, alpha: float | None = None,
                    d: float | None = None,
-                   half_count: int | None = None) -> CrossSectionProfile:
+                   half_count: int | None = None,
+                   rows: ChannelRows | None = None) -> CrossSectionProfile:
     """Hand-derived cross section for one of the six special setups.
 
     Internal-structure variants (the keys of CLOSED_TWINS) sum the open
-    channels of open_channels for an l = 0 beam. A structureless twin is
-    the same rotor at alpha = 0 (any alpha given is ignored) and returns
-    no per-channel arrays. Built from the same primitives as
-    profile_general so the two can be compared tightly.
+    channels of closed_rotor: an l = 0 beam. A structureless twin is the
+    same rotor at alpha = 0 (any alpha given is ignored) and returns no
+    per-channel arrays. Built from the same primitives as
+    profile_general so the two can be compared tightly. ``rows`` are as
+    for profile_general, for closed_rotor's (beam, molecule).
     """
     if k <= 0:
         raise ValueError("k must be > 0")
@@ -213,15 +287,11 @@ def profile_closed(variant: str, thetas: np.ndarray, *, mass: float, v0: float,
     if internal not in CLOSED_TWINS:
         raise UnsupportedVariantError(f"not a closed-form variant: {variant!r}")
     twin = internal != variant
-    if twin:
-        alpha = 0.0
-    _require(variant, alpha=alpha, d=d)
+    _require(variant, alpha=0.0 if twin else alpha, d=d)
     if internal == "closed_grating":
         _require(variant, half_count=half_count)
     thetas = np.asarray(thetas, dtype=float)
     pref = _PREFACTOR[variant] * (math.pi * mass * mass * v0 * v0 * delta ** 4 / k)
-    beam = IncidentBeam(wavenumber=k, amplitudes={0: 1.0})
-    mol = Molecule(atom_mass=1.0, half_separation=alpha)
 
     def envelope(q_x, q_y, q_mag):
         w = (q_mag * delta) ** 2
@@ -232,8 +302,9 @@ def profile_closed(variant: str, thetas: np.ndarray, *, mass: float, v0: float,
         return _times_angular(internal, pref * damp * bess * bess, q_x, w, d,
                               half_count)
 
-    sigma, per = _channel_sum(open_channels(beam, mol), k, alpha, thetas,
-                              envelope, term)
+    if rows is None:
+        rows = _rows_alone(thetas, *closed_rotor(variant, k, alpha))
+    sigma, per = _channel_sum(rows, k, thetas, envelope, term)
     return CrossSectionProfile(thetas=thetas, sigma=sigma,
                                per_channel=None if twin else per,
                                metadata={"engine": variant, "k": k})

@@ -9,6 +9,8 @@ validation failure.
 """
 
 import argparse
+import contextlib
+import functools
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -20,8 +22,8 @@ import numpy as np
 
 from . import output, specfun
 from .analysis import fringe_window, require_samples, visibility, visibility_ratio
-from .born import (profile_closed, profile_general, profile_structureless,
-                   structureless_counterpart)
+from .born import (bessel_groups, closed_rotor, profile_closed, profile_general,
+                   profile_structureless, structureless_counterpart)
 from .kinematics import open_channels
 from .model import (
     CLOSED_TWINS,
@@ -155,10 +157,12 @@ def _closed_params(cfg: Config) -> Dict[str, float]:
     return {"v0": a.strength, "delta": a.width, "d": peaks[0].center_x}
 
 
-def _engines(cfg: Config, thetas: np.ndarray,
-             compare: bool) -> List[Callable[[float], CrossSectionProfile]]:
-    """The configured engine as k -> profile on ``thetas``, then for
-    ``compare`` its structureless twin.
+def _engines(cfg: Config, thetas: np.ndarray, compare: bool) -> List[tuple]:
+    """The configured engine on ``thetas``, then for ``compare`` its
+    structureless twin, each as a pair (rotor, run): rotor(k) is the
+    (beam, molecule) whose channels the engine sums at k, or None for an
+    engine without channels; run(k, rows) the profile at k from the
+    ChannelRows of that rotor (None for None).
 
     A closed engine's template is checked here, once per run.
     """
@@ -168,49 +172,62 @@ def _engines(cfg: Config, thetas: np.ndarray,
                             "internal-structure engine (general or a closed "
                             "internal variant)")])
     if variant == "general":
-        def twin(k):
+        def twin(k, rows):
             mass2, spec2 = structureless_counterpart(molecule, spec)
             return profile_structureless(thetas, mass2, k, spec2)
-        engines = [lambda k: profile_general(thetas, molecule, _beam_for_k(cfg, k),
-                                             spec), twin]
+        engines = [(lambda k: (_beam_for_k(cfg, k), molecule),
+                    lambda k, rows: profile_general(thetas, molecule,
+                                                    _beam_for_k(cfg, k), spec,
+                                                    rows=rows)),
+                   (None, twin)]
     elif variant == "structureless":
-        engines = [lambda k: profile_structureless(thetas, molecule.atom_mass, k,
-                                                   spec)]
+        engines = [(None, lambda k, rows: profile_structureless(
+            thetas, molecule.atom_mass, k, spec))]
     else:
         params = _closed_params(cfg)
-        engines = [lambda k: profile_closed(variant, thetas, mass=molecule.atom_mass,
-                                            k=k, alpha=molecule.half_separation,
-                                            **params),
-                   lambda k: profile_closed(CLOSED_TWINS[variant], thetas,
-                                            mass=molecule.atom_mass, k=k, **params)]
+        alpha = molecule.half_separation
+        engines = [(lambda k, v=v: closed_rotor(v, k, alpha),
+                    lambda k, rows, v=v: profile_closed(
+                        v, thetas, mass=molecule.atom_mass, k=k, alpha=alpha,
+                        rows=rows, **params))
+                   for v in ((variant, CLOSED_TWINS[variant]) if compare
+                             else (variant,))]
     return engines[:1 + compare]
 
 
-def _profiles(engines: List[Callable], k_values: Tuple[float, ...],
+def _profiles(engines: List[tuple], thetas: np.ndarray,
+              k_values: Tuple[float, ...],
               threads: int) -> List[List[CrossSectionProfile]]:
-    """Each engine's profile at each k, on a pool of ``threads`` workers.
+    """Each engine's profile at each k, one Bessel group at a time (see
+    born.bessel_groups), each group's profiles on a pool of ``threads``
+    workers.
 
     Overflow or invalid arithmetic in an engine leaves a non-finite sigma,
     which CrossSectionProfile refuses (exit 2, one message line); numpy's
     RuntimeWarning lines would only repeat that on stderr. errstate is per
-    thread, so each task sets it itself. A sigma of 0.0 at every angle is
-    refused too: an all-zero file would look like a result.
+    thread, so each task sets it itself, and so does the group pass. A
+    sigma of 0.0 at every angle is refused too: an all-zero file would
+    look like a result.
     """
     def run(task):
-        engine, k = task
+        (engine, k), rows = task
         with np.errstate(all="ignore"):
-            profile = engine(k)
+            profile = engine(k, rows)
         if not profile.sigma.any():
             raise ValueError(f"sigma is 0 at every angle at k={k!r}: it is "
                              "below the double range, or v0 = 0 on every peak")
         return profile
 
-    tasks = [(engine, k) for engine in engines for k in k_values]
-    if threads <= 1 or len(tasks) <= 1:
-        profiles = [run(task) for task in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            profiles = list(pool.map(run, tasks))
+    tasks = [(engine, k) for _, engine in engines for k in k_values]
+    rotors = [rotor and rotor(k) for rotor, _ in engines for k in k_values]
+    profiles = []
+    pool = (ThreadPoolExecutor(max_workers=threads)
+            if threads > 1 and len(tasks) > 1 else None)
+    with np.errstate(all="ignore"), pool or contextlib.nullcontext():
+        for rows in bessel_groups(thetas, rotors):
+            batch = tasks[len(profiles):len(profiles) + len(rows)]
+            profiles += (pool.map if pool else map)(run, zip(batch, rows))
+            del rows  # free this group's rows before the next is made
     n = len(k_values)
     return [profiles[i:i + n] for i in range(0, len(profiles), n)]
 
@@ -241,7 +258,7 @@ def _run_engines(args) -> Tuple[Config, np.ndarray, Tuple[float, ...], dict,
                         for ch in open_channels(_beam_for_k(cfg, k), cfg.molecule))
         require_samples(thetas, kappa_max * (max(centres) - min(centres)
                                              + 2.0 * cfg.molecule.half_separation))
-    profiles = _profiles(engines, k_values, args.threads)
+    profiles = _profiles(engines, thetas, k_values, args.threads)
     return cfg, thetas, k_values, manifest, profiles
 
 
@@ -384,8 +401,15 @@ _DISPATCH = {
 }
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """build_parser's parser, built on first use and reused by every call
+    of main in the process."""
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if args.subcommand is None:

@@ -57,6 +57,9 @@ def ft_total_grid(spec: PotentialSpec, q_x: np.ndarray, q_y: np.ndarray):
     mirrored peak adds ft*sin(a) to im instead. numpy picks its trig
     kernels per CPU, so the parity is not assumed: it is asserted by
     tests/test_potentials.py::TestMirrorTrig::test_cos_even_sin_odd_bitwise.
+    A centre at +-0 takes no trig: a is +-0 there, where cos is 1 and sin
+    returns its argument, bit for bit (TestMirrorTrig asserts that too),
+    and a * 0 + 1 keeps cos's NaN where q_x is not finite.
     """
     q = np.hypot(q_x, q_y)
     peaks = sorted(spec.peaks, key=lambda p: (p.center_x, p.shape.variant,
@@ -76,7 +79,11 @@ def ft_total_grid(spec: PotentialSpec, q_x: np.ndarray, q_y: np.ndarray):
         key = abs(c)
         if key not in trig:
             a = q_x * c
-            trig[key] = (math.copysign(1.0, c), np.cos(a), np.sin(a))
+            if c == 0.0:  # a is +-0 (NaN where q_x is not finite)
+                cos_a, sin_a = a * 0.0 + 1.0, a
+            else:
+                cos_a, sin_a = np.cos(a), np.sin(a)
+            trig[key] = (math.copysign(1.0, c), cos_a, sin_a)
         sign, cos_a, sin_a = trig[key]
         if last_use[key] == j:
             del trig[key]

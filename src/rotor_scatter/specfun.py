@@ -77,8 +77,9 @@ value does not depend on the entry point or on the other elements of
 the call. A call finds its starts one BLOCK of elements at a time,
 sorts all its elements by start and runs the recurrence over
 consecutive blocks of BLOCK, which bounds the work arrays; born makes
-one call per profile, so that the blocks of the whole profile run at
-similar depth. The blocks change no value for the same reason.
+one call per group of consecutive profiles of a run, a group closing
+once it holds BLOCK elements, so that the blocks of the whole group run
+at similar depth. The blocks change no value for the same reason.
 
 Renormalization. A double-double sum is Knuth's two-sum (s, e) of the
 high parts, y = e + (al + bl), and one renormalization of (s, y). The

@@ -378,26 +378,37 @@ class TestGridEngines:
 
     def test_mirror_channels_share_one_bessel_evaluation(self, monkeypatch):
         # an l = 0 beam opens (0, +l') and (0, -l') with the same kappa and
-        # J_-l'^2 == J_l'^2: each |l'| is evaluated once per angle, however
-        # the keys are grouped into calls, and the channel terms are equal
-        orders = []
+        # J_-l'^2 == J_l'^2, and a symmetric grid repeats each |q| at the
+        # mirror angle: each |l'| is evaluated at most once per angle and
+        # exactly once per distinct argument of its row, and the channel
+        # terms are equal
+        pairs = []
         real = specfun.bessel_j_grid
 
         def counted(n, xs):
-            orders.extend(np.broadcast_to(n, xs.shape).tolist())
+            pairs.extend(zip(np.broadcast_to(n, xs.shape).tolist(), xs.tolist()))
             return real(n, xs)
 
         monkeypatch.setattr(specfun, "bessel_j_grid", counted)
         th = np.linspace(-1.2, 1.2, 41)
-        once_each = {n: len(th) for n in (0, 2, 4, 6, 8)}  # l' = 10 is marginal, closed
-        beam = IncidentBeam(wavenumber=10.0, amplitudes={0: 1.0})
-        p = profile_general(th, UNIT_ROTOR, beam, TWO_SLIT)
-        assert Counter(orders) == once_each
-        orders.clear()
-        c = profile_closed("closed_two_gaussian", th, mass=1.0, v0=1.0,
-                           delta=1.0, k=10.0, alpha=1.0, d=2.0)
-        assert Counter(orders) == once_each
-        for prof in (p, c):
+        k = 10.0
+        beam = IncidentBeam(wavenumber=k, amplitudes={0: 1.0})
+        want = {(abs(ch.l_out), x) for ch in open_channels(beam, UNIT_ROTOR)
+                for x in (UNIT_ROTOR.half_separation
+                          * geometry_grid(k, ch.kappa, th)[2]).tolist()}
+        assert {n for n, _ in want} == {0, 2, 4, 6, 8}  # l' = 10 is marginal, closed
+        profiles = []
+        for make in (lambda: profile_general(th, UNIT_ROTOR, beam, TWO_SLIT),
+                     lambda: profile_closed("closed_two_gaussian", th, mass=1.0,
+                                            v0=1.0, delta=1.0, k=k, alpha=1.0,
+                                            d=2.0)):
+            pairs.clear()
+            profiles.append(make())
+            assert max(Counter(n for n, _ in pairs).values()) <= len(th)
+            assert Counter(pairs).most_common(1)[0][1] == 1
+            assert set(pairs) == want
+            assert len(pairs) < 5 * len(th)  # some mirrors repeat exactly
+        for prof in profiles:
             for (l_in, l_out), arr in prof.per_channel.items():
                 assert np.array_equal(arr, prof.per_channel[(l_in, -l_out)])
 
@@ -426,3 +437,88 @@ class TestGridEngines:
             bess = real(abs(ch.l_out), UNIT_ROTOR.half_separation * q_mag)
             term = (c * ch.weight / math.pi ** 2) * bess * bess * (re * re + im * im)
             assert np.array_equal(p.per_channel[(ch.l_in, ch.l_out)], term)
+
+
+# rotors of every channel engine: the general engine with l != 0 states,
+# each closed internal variant and the alpha = 0 twin (whose every
+# argument is 0, so every mirror repeats)
+GROUP_ROTORS = [
+    (IncidentBeam(wavenumber=3.0, amplitudes={0: 0.6, 3: 0.8}), UNIT_ROTOR),
+    (IncidentBeam(wavenumber=2.2, amplitudes={-2: 0.6j, 1: 0.8}),
+     Molecule(atom_mass=1.0, half_separation=1.7)),
+    *(born.closed_rotor(variant, 4.5, 0.9) for variant in CLOSED_TWINS),
+    None,
+    born.closed_rotor("closed_structureless_mixed", 4.5, 0.9),
+]
+GROUP_GRIDS = {
+    "symmetric_odd": np.linspace(-1.3, 1.3, 15),
+    "symmetric_even": np.linspace(-1.3, 1.3, 14),
+    # negated copies: every mirror pair repeats its |q| exactly
+    "exact_mirror_even": np.concatenate([-np.geomspace(1.4, 0.01, 6),
+                                         np.geomspace(0.01, 1.4, 6)]),
+    "asymmetric_odd": np.linspace(-0.4, 1.5, 11),
+    "asymmetric_even": np.linspace(-1.5, 0.2, 10),
+    "two": np.array([-0.7, 0.7]),
+    "two_asymmetric": np.array([-0.7, 0.9]),
+}
+
+
+_ELEMENTS = {}
+
+
+def one_element(bessel_j_grid, n, x):
+    """J_n(x) from a call of its own, kept across the tests that ask."""
+    if (n, x) not in _ELEMENTS:
+        _ELEMENTS[n, x] = bessel_j_grid(n, np.array([x]))[0]
+    return _ELEMENTS[n, x]
+
+
+class TestBesselGroups:
+    @pytest.mark.parametrize("grid", sorted(GROUP_GRIDS))
+    @pytest.mark.parametrize("block", [specfun.BLOCK, 40])
+    def test_rows_have_the_bits_of_per_element_calls(self, monkeypatch, grid, block):
+        # a small BLOCK splits the rotors into several groups
+        monkeypatch.setattr(specfun, "BLOCK", block)
+        th = GROUP_GRIDS[grid]
+        evaluated = []
+        real = specfun.bessel_j_grid
+
+        def counted(n, xs):
+            evaluated.append(xs.size)
+            return real(n, xs)
+
+        monkeypatch.setattr(specfun, "bessel_j_grid", counted)
+        groups = list(born.bessel_groups(th, GROUP_ROTORS))
+        rows = [r for group in groups for r in group]
+        assert len(rows) == len(GROUP_ROTORS)
+        assert len(groups) > 1 if block == 40 else len(groups) == 1
+        total = 0
+        for rotor, got in zip(GROUP_ROTORS, rows):
+            if rotor is None:
+                assert got is None
+                continue
+            beam, molecule = rotor
+            assert got.channels == open_channels(beam, molecule)
+            for (kappa, n), row in got.bess.items():
+                x = molecule.half_separation * geometry_grid(beam.wavenumber, kappa, th)[2]
+                want = np.array([one_element(real, n, xi) for xi in x.tolist()])
+                assert np.array_equal(row.view(np.uint64), want.view(np.uint64))
+                total += th.size
+        assert sum(evaluated) < total  # the twins' mirrors at least are skipped
+        assert len(evaluated) == len(groups)
+
+    def test_engines_take_the_rows_of_their_group(self):
+        # a profile from its group's rows is the profile made alone, bit for bit
+        th = GROUP_GRIDS["symmetric_odd"]
+        [rows] = born.bessel_groups(th, GROUP_ROTORS)
+        beam, molecule = GROUP_ROTORS[0]
+        pairs = [(profile_general(th, molecule, beam, TWO_SLIT, rows=rows[0]),
+                  profile_general(th, molecule, beam, TWO_SLIT))]
+        kw = dict(mass=1.0, v0=1.0, delta=0.8, k=4.5, alpha=0.9, d=2.0, half_count=1)
+        closed = [*CLOSED_TWINS, "closed_structureless_mixed"]
+        pairs += [(profile_closed(v, th, rows=r, **kw), profile_closed(v, th, **kw))
+                  for v, r in zip(closed, rows[2:5] + rows[6:])]
+        for got, want in pairs:
+            assert np.array_equal(got.sigma, want.sigma)
+            for key, arr in (want.per_channel or {}).items():
+                assert np.array_equal(got.per_channel[key], arr)

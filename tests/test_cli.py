@@ -276,6 +276,29 @@ class TestSweep:
         bytes_b = open(f"{dir_b}/sweep.csv", "rb").read()
         assert bytes_a == bytes_b
 
+    def test_one_bessel_call_per_group(self, tmp_path, capsys, monkeypatch):
+        # fig2_d6's five profiles (11 keys of 801 angles) make one group;
+        # a profile of at least BLOCK elements closes a group of its own
+        sizes = []
+        real = specfun.bessel_j_grid
+
+        def counted(n, xs):
+            sizes.append(xs.size)
+            return real(n, xs)
+
+        monkeypatch.setattr(specfun, "bessel_j_grid", counted)
+        assert main(["sweep", "--config", str(CONFIGS / "fig2_d6.json"),
+                     "--out", str(tmp_path / "fig2"), "--format", "csv"]) == 0
+        assert len(sizes) == 1
+        sizes.clear()
+        # one key per k: only the elastic channel is open below k alpha = 2
+        cfg = write_config(tmp_path, two_slit_doc(steps=specfun.BLOCK,
+                                                  k_list=(0.5, 1.0, 1.5)))
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "big"),
+                     "--format", "csv"]) == 0
+        assert len(sizes) == 3
+        assert max(sizes) <= specfun.BLOCK
+
     def test_empty_k_list_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, two_slit_doc(k_list=()))
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 1

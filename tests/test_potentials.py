@@ -182,6 +182,29 @@ class TestMirrorTrig:
                 assert same_bits(np.cos(-part), np.cos(part))
                 assert same_bits(np.sin(-part), -np.sin(part))
 
+    def test_signed_zero_needs_no_trig(self):
+        # a centre at +-0 gives a = +-0, where ft_total_grid takes cos = 1
+        # and sin = a without calling either; short arrays and odd offsets
+        # run the kernels' tail paths
+        zeros = np.array([0.0, -0.0] * 600)
+        for n in (1, 2, 3, 7, 8, 9, 16, 17, 33, 1200):
+            for start in (0, 1, 3):
+                part = zeros[start:start + n]
+                assert same_bits(np.cos(part), np.ones(part.size))
+                assert same_bits(np.sin(part), part)
+
+    def test_centre_at_zero_keeps_nan_where_q_is_not_finite(self):
+        # cos(inf * 0) is NaN, and so is the ft * NaN term, though ft is 0
+        spec = PotentialSpec(peaks=(Peak(0.0, GAUSS11),))
+        q_x = np.array([np.inf, -np.inf, np.nan, 1.5, -0.0, 0.0])
+        q_y = np.array([0.0, 1.0, 0.0, -1.0, np.inf, 2.0])
+        with np.errstate(invalid="ignore"):
+            got, want = ft_total_grid(spec, q_x, q_y), plain_fold(spec, q_x, q_y)
+        assert np.isnan(want[0][:3]).all()
+        for g, w in zip(got, want):
+            assert np.array_equal(np.isnan(g), np.isnan(w))
+            assert same_bits(g[~np.isnan(g)], w[~np.isnan(w)])
+
     def test_negated_product_is_exact(self):
         a = trig_arguments()
         with np.errstate(over="ignore"):
