@@ -37,7 +37,9 @@ from .model import (
     validate_config,
 )
 
+# the formats each kind of subcommand writes
 _FORMATS = ("csv", "json", "svg")
+_TABLE_FORMATS = ("csv", "json")  # validate and bessel-table draw no plot
 
 
 class CliError(Exception):
@@ -75,7 +77,8 @@ def build_parser() -> _Parser:
 
     pv = sub.add_parser("validate", help="run the numerical self-checks")
     pv.add_argument("--out", required=True)
-    pv.add_argument("--format", default="json")
+    pv.add_argument("--format", default="json",
+                    help="comma-separated subset of csv,json")
     pv.add_argument("--only", default=None,
                     help="run only checks whose name starts with this prefix")
 
@@ -83,16 +86,19 @@ def build_parser() -> _Parser:
     pb.add_argument("--n-max", type=int, required=True)
     pb.add_argument("--x", type=float, required=True)
     pb.add_argument("--out", required=True)
-    pb.add_argument("--format", default="csv")
+    pb.add_argument("--format", default="csv",
+                    help="comma-separated subset of csv,json")
     return parser
 
 
-def _parse_formats(raw: str) -> Tuple[str, ...]:
+def _parse_formats(raw: str, writable: Tuple[str, ...]) -> Tuple[str, ...]:
+    """The sorted distinct formats of a --format value, each of which the
+    subcommand can write."""
     parts = tuple(p for p in raw.split(",") if p)
     for p in parts:
-        if p not in _FORMATS:
-            raise CliError(f"unknown format {p!r}, expected subset of "
-                           f"{','.join(_FORMATS)}", 1)
+        if p not in writable:
+            raise CliError(f"cannot write format {p!r}, expected subset of "
+                           f"{','.join(writable)}", 1)
     if not parts:
         raise CliError("at least one output format is required", 1)
     return tuple(sorted(set(parts)))
@@ -239,7 +245,7 @@ def _run_engines(args) -> Tuple[Config, np.ndarray, Tuple[float, ...], dict,
     twin's. Every refusal comes before the first profile."""
     cfg = _load_config(args.config)
     manifest = {"subcommand": args.subcommand, "config": serialize_config(cfg),
-                "formats": list(_parse_formats(args.format))}
+                "formats": list(_parse_formats(args.format, _FORMATS))}
     scan, compare = cfg.scan, args.subcommand == "compare"
     if scan is None:
         raise ConfigError([("scan", "this subcommand needs a scan block "
@@ -352,7 +358,7 @@ def cmd_validate(args) -> int:
     from .oracle import OracleConvergenceError
     from .validate import run_checks
 
-    formats = _parse_formats(args.format)
+    formats = _parse_formats(args.format, _TABLE_FORMATS)
     try:
         results = run_checks(only=args.only)
     except ValueError as exc:
@@ -377,7 +383,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_bessel_table(args) -> int:
-    formats = _parse_formats(args.format)
+    formats = _parse_formats(args.format, _TABLE_FORMATS)
     if args.n_max < 0 or args.n_max > specfun.ORDER_CAP:
         raise CliError(f"--n-max must be in [0, {specfun.ORDER_CAP}]", 1)
     if not 0.0 <= args.x <= specfun.ARGUMENT_CAP:  # NaN fails too

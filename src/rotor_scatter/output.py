@@ -2,8 +2,17 @@
 
 Every number is printed with 17 significant digits so a 64-bit float
 round-trips losslessly and repeated runs produce byte-identical files.
-The JSON writer is hand-rolled for the same reason: dict keys are sorted
-and float formatting is pinned rather than left to the stdlib default.
+Every JSON leaf that is not a float, and every dict key, is the text of
+one stdlib encoder (``ensure_ascii=False``). Three things stay
+hand-written, because that encoder cannot do them:
+
+- floats print as ``%.17g``; the encoder prints ``float.__repr__``, the
+  shortest round-trip text, and has no hook to change that;
+- a ``Column`` streams from its kernel cells ``_CHUNK`` values per piece,
+  where the encoder would convert each value in Python;
+- the layout (keys sorted by ``str``, two-space indent, LF separators) is
+  a list of pieces, built and checked whole before the first is written,
+  so a refusal writes nothing and a large document is never joined.
 
 ``fmt_real`` is the reference: Python's ``%.17g``, an exact bignum
 conversion of one value. ``fmt_table`` prints the same text for a whole
@@ -62,6 +71,7 @@ Every output byte is pinned by ``tests/output_sha256.json``.
 
 import functools
 import hashlib
+import json
 import math
 from itertools import chain
 from pathlib import Path
@@ -348,6 +358,11 @@ def _refuse_non_finite(columns: Sequence[Column]) -> None:
         fmt_real(columns[j].values[i])
 
 
+# the text of a JSON leaf other than a float, and of a key; one encoder,
+# since json.dumps builds a new one per call
+_encode = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def emit_json(value) -> Iterator[str]:
     """Canonical JSON as string pieces: sorted keys, pinned float format,
     LF separators.
@@ -385,7 +400,7 @@ def _emit_json(value, indent: int, out: List) -> None:
             return
         sep = "{\n"
         for k in sorted(value, key=str):
-            out.append(f"{sep}{inner}{_json_string(str(k))}: ")
+            out.append(f"{sep}{inner}{_encode(str(k))}: ")
             _emit_json(value[k], indent + 1, out)
             sep = ",\n"
         out.append("\n" + pad + "}")
@@ -409,39 +424,7 @@ def _emit_json(value, indent: int, out: List) -> None:
                 sep = ",\n"
         out.append("\n" + pad + "]")
         return
-    if isinstance(value, bool):
-        out.append("true" if value else "false")
-    elif isinstance(value, int):
-        out.append(str(value))
-    elif isinstance(value, float):
-        out.append(fmt_real(value))
-    elif isinstance(value, str):
-        out.append(_json_string(value))
-    elif value is None:
-        out.append("null")
-    else:
-        raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
-def _json_string(s: str) -> str:
-    out = ['"']
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ch == "\r":
-            out.append("\\r")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
+    out.append(fmt_real(value) if isinstance(value, float) else _encode(value))
 
 
 def manifest_hash(doc) -> str:

@@ -489,6 +489,18 @@ class TestValidate:
         assert capsys.readouterr().err == (
             "numerical failure: quadrature did not converge\n")
 
+    def test_svg_exits_1_before_any_check(self, tmp_path, capsys, monkeypatch):
+        # validate draws no plot: svg is refused before a check runs or the
+        # run directory is made
+        from rotor_scatter import validate
+        monkeypatch.setattr(validate, "run_checks",
+                            lambda only=None: pytest.fail("a check ran"))
+        out = tmp_path / "out"
+        assert main(["validate", "--out", str(out), "--only", "bessel-first",
+                     "--format", "svg"]) == 1
+        assert "'svg'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_importing_the_cli_leaves_mpmath_unloaded(self):
         # only the validate subcommand needs the oracle, and with it mpmath
         proc = subprocess.run(
@@ -515,6 +527,16 @@ class TestBesselTable:
                      "--out", str(tmp_path)]) == 1
         capsys.readouterr()
 
+    def test_svg_exits_1_before_any_bessel_work(self, tmp_path, capsys,
+                                                  monkeypatch):
+        monkeypatch.setattr(specfun, "bessel_j_batch",
+                            lambda n_max, x: pytest.fail("the table was computed"))
+        out = tmp_path / "out"
+        assert main(["bessel-table", "--n-max", "3", "--x", "1.5",
+                     "--out", str(out), "--format", "svg"]) == 1
+        assert "'svg'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_argument_past_the_cap_exits_1(self, tmp_path):
         # refused before the kernel: at x = 1e9 its start search and
         # recurrence would need arrays of ~1e9 elements
@@ -532,9 +554,12 @@ class TestFormatSubsets:
     def test_each_format_writes_the_bytes_of_the_full_run(self, tmp_path, capsys,
                                                          subcommand):
         # csv and json share one formatting pass; written alone, each file
-        # must still hold the bytes it holds when every format is written
+        # must still hold the bytes it holds when every format it can write
+        # is written (bessel-table draws no svg)
+        every = "csv,json,svg"
         if subcommand == "bessel-table":
             argv = ["bessel-table", "--n-max", "2100", "--x", "1500"]
+            every = "csv,json"
         else:  # a general-engine profile carries per-channel columns
             argv = [subcommand, "--config",
                     write_config(tmp_path, two_slit_doc(steps=2049,
@@ -547,7 +572,7 @@ class TestFormatSubsets:
             return {f.name: f.read_bytes() for f in run_dir.iterdir()
                     if f.name != "manifest.json"}
 
-        full = files("csv,json,svg")
+        full = files(every)
         for formats in ("csv", "json", "csv,json"):
             got = files(formats)
             assert got, formats
@@ -628,8 +653,10 @@ def _affordable(doc):
 def test_fuzzed_runs_exit_0_1_or_2(subcommand, name, mutations, formats, threads,
                                    n_max, x, out_is_file):
     """Runs on shipped configs with 1-3 leaves replaced, and bessel-table
-    calls, exit 0, 1 or 2 with no exception out of ``main``, and no CSV
-    they write holds a sigma column that is 0 at every angle.
+    calls, exit 0, 1 or 2 with no exception out of ``main``. A run that
+    exits 0 writes one file of each format its manifest lists and of no
+    other, and no CSV it writes holds a sigma column that is 0 at every
+    angle.
 
     Accepted documents keep k * alpha <= 20 and 101 angles, and ``--x`` is
     at most 20 where it is accepted: a run's cost is unbounded until ROADMAP
@@ -661,6 +688,10 @@ def test_fuzzed_runs_exit_0_1_or_2(subcommand, name, mutations, formats, threads
         if code:
             return
         run_dir = pathlib.Path(printed.getvalue().strip().splitlines()[-1])
+        manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
+        written = {path.suffix[1:] for path in run_dir.iterdir()
+                   if path.name != "manifest.json"}
+        assert written == set(manifest["formats"]), (argv, manifest["formats"])
         for csv in run_dir.glob("*.csv"):
             if csv.name != "bessel_table.csv":
                 sigma = np.loadtxt(csv, delimiter=",", skiprows=1, ndmin=2)[:, 1:]

@@ -215,6 +215,18 @@ class TestEmitJson:
     def test_escaping(self):
         assert json_text('he said "hi"\n') == '"he said \\"hi\\"\\n"'
 
+    # the C0 controls, the two characters JSON escapes, and non-ASCII text
+    # in and beyond the Basic Multilingual Plane
+    @pytest.mark.parametrize("s", [chr(c) for c in range(0x20)]
+                             + ['"', "\\", "\u00e9", "\u03b8=0", "\U0001d70b"])
+    def test_strings_are_the_stdlib_text(self, s):
+        want = json.dumps(s, ensure_ascii=False)
+        assert json_text(s) == want
+        assert json.loads(json_text(s)) == s
+        doc = {s: s}
+        assert json_text(doc) == "{\n  " + want + ": " + want + "\n}"
+        assert json.loads(json_text(doc)) == doc
+
     def test_rejects_unknown_types(self):
         with pytest.raises(TypeError):
             json_text({"x": object()})
@@ -436,7 +448,8 @@ class TestWritersMatchPerValueReference:
 
     @pytest.mark.parametrize("n", [0, 1, _BLOCK_ROWS + 1, 4 * _BLOCK_ROWS + 1])
     def test_float_array_writes_as_its_list(self, n):
-        # the CLI passes its 1-D float64 arrays straight to emit_json
+        # a bare 1-D float64 array lays out as a Column of its own would;
+        # the CLI itself hands emit_json Columns
         col = edge_column(n)
         doc = {"sigma": col, "columns": [col, col[::-1]], "k": [1.0]}
         as_lists = {"sigma": col.tolist(),
@@ -607,10 +620,13 @@ class TestSvgArrays:
 class TestPinnedBytes:
     def test_every_output_file_reproduced(self, tmp_path, monkeypatch):
         """sha256 of all files of the figure runs and a per-channel profile,
-        frozen by scripts/freeze_output_bytes.py."""
+        and the goldens read from the same runs, both frozen by
+        scripts/freeze_output_bytes.py: the two pin files cannot disagree."""
         root = Path(__file__).resolve().parent.parent
         monkeypatch.syspath_prepend(str(root / "scripts"))
         from freeze_output_bytes import output_digests
 
         frozen = json.loads((root / "tests" / "output_sha256.json").read_text())
-        assert output_digests(tmp_path) == frozen
+        goldens = {}
+        assert output_digests(tmp_path, goldens) == frozen
+        assert goldens == json.loads((root / "tests" / "goldens.json").read_text())
