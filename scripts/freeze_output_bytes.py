@@ -26,7 +26,7 @@ import json
 import pathlib
 import sys
 import tempfile
-from typing import Optional
+from typing import Tuple
 
 from regenerate_figures import CONFIG_DIR, RUNS
 from rotor_scatter.cli import main as cli_main
@@ -79,13 +79,13 @@ def _run(config: pathlib.Path, subcommand: str,
     return pathlib.Path(printed.getvalue().splitlines()[-1])
 
 
-def output_digests(out_root: pathlib.Path, goldens: Optional[dict] = None) -> dict:
-    """Run every pinned invocation under out_root; sha256 per written file.
+def output_digests(out_root: pathlib.Path) -> Tuple[dict, dict]:
+    """Run every pinned invocation under out_root; (digests, goldens).
 
-    A goldens dict passed in is filled with tests/goldens.json's entries,
-    read from the same runs: "fig4", the first report of fig4's
-    compare.json, and "sweep_sha256", each figure sweep's sweep.csv digest
-    by config stem.
+    digests holds the sha256 of each written file. goldens holds
+    tests/goldens.json's entries, read from the same runs: "fig4", the
+    first report of fig4's compare.json, and "sweep_sha256", each figure
+    sweep's sweep.csv digest by config stem.
     """
     out_root = pathlib.Path(out_root)
     runs_root = out_root / "runs"
@@ -101,19 +101,18 @@ def output_digests(out_root: pathlib.Path, goldens: Optional[dict] = None) -> di
     digests = {path.relative_to(runs_root).as_posix():
                hashlib.sha256(path.read_bytes()).hexdigest()
                for path in sorted(runs_root.glob("*/*"))}
-    if goldens is not None:
-        compare = figures["fig4", "compare"] / "compare.json"
-        goldens["fig4"] = json.loads(compare.read_text(encoding="utf-8"))["reports"][0]
-        goldens["sweep_sha256"] = {stem: digests[f"{run_dir.name}/sweep.csv"]
-                                   for (stem, sub), run_dir in figures.items()
-                                   if sub == "sweep"}
-    return digests
+    compare = figures["fig4", "compare"] / "compare.json"
+    goldens = {
+        "fig4": json.loads(compare.read_text(encoding="utf-8"))["reports"][0],
+        "sweep_sha256": {stem: digests[f"{run_dir.name}/sweep.csv"]
+                         for (stem, sub), run_dir in figures.items()
+                         if sub == "sweep"}}
+    return digests, goldens
 
 
 def main() -> int:
-    goldens = {}
     with tempfile.TemporaryDirectory() as scratch:
-        digests = output_digests(pathlib.Path(scratch), goldens)
+        digests, goldens = output_digests(pathlib.Path(scratch))
     for target, doc in ((TARGET, digests), (GOLDENS, goldens)):
         target.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
                           encoding="utf-8")

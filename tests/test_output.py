@@ -627,6 +627,6 @@ class TestPinnedBytes:
         from freeze_output_bytes import output_digests
 
         frozen = json.loads((root / "tests" / "output_sha256.json").read_text())
-        goldens = {}
-        assert output_digests(tmp_path, goldens) == frozen
+        digests, goldens = output_digests(tmp_path)
+        assert digests == frozen
         assert goldens == json.loads((root / "tests" / "goldens.json").read_text())
