@@ -20,7 +20,15 @@ peak strength doubled, see structureless_counterpart) is the caller's
 job; profile_structureless itself takes whatever it is given.
 
 Every engine evaluates a theta grid; a caller that wants a few angles
-passes a grid holding them (a profile needs two ascending samples).
+passes a grid holding them (a profile needs two ascending samples). The
+grid is a theta array or a kinematics.AngleGrid, which the CLI makes
+once per run, so that every q grid of the run reuses its sin and cos.
+|V(q)|^2 is computed on the grid's unique angles only, and each value
+is copied to its exact mirror angle: V is a sum of radial peaks on the
+x axis, so V(-q_x, q_y) is the complex conjugate of V(q_x, q_y), and
+ft_total_grid returns equal re and negated im there, whose
+re^2 + im^2 has the same bits (kinematics.AngleGrid). The closed
+envelope holds q_x, which is odd, and stays on the whole grid.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import specfun
-from .kinematics import Q_DEGENERATE, geometry_grid, open_channels
+from .kinematics import Q_DEGENERATE, angle_grid, geometry_grid, open_channels
 from .model import (
     CLOSED_TWINS,
     CrossSectionProfile,
@@ -137,7 +145,7 @@ class ChannelRows(NamedTuple):
     bess: dict
 
 
-def bessel_groups(thetas: np.ndarray, rotors):
+def bessel_groups(thetas, rotors):
     """ChannelRows for each (beam, molecule) of ``rotors`` (None for an
     engine without channels: None back), one list per group.
 
@@ -147,9 +155,10 @@ def bessel_groups(thetas: np.ndarray, rotors):
     argument equals that of its mirror, angle index size - 1 - i in the
     same row, is not evaluated but copied from it. A value depends only
     on its (n, x), so neither the group nor the skipped elements change
-    a bit. Each beam's channels are enumerated once, here.
+    a bit. Each beam's channels are enumerated once, here. ``thetas`` is
+    a theta array or its AngleGrid.
     """
-    thetas = np.asarray(thetas, dtype=float)
+    grid = angle_grid(thetas)
     group, size = [], 0
     for rotor in rotors:
         if rotor is not None:
@@ -158,31 +167,32 @@ def bessel_groups(thetas: np.ndarray, rotors):
             keys = list(dict.fromkeys((ch.kappa, abs(ch.l_in - ch.l_out))
                                       for ch in channels))
             rotor = (beam.wavenumber, molecule.half_separation, channels, keys)
-            size += len(keys) * thetas.size
+            size += len(keys) * grid.thetas.size
         group.append(rotor)
         if size >= specfun.BLOCK:
-            yield _bessel_pass(thetas, group)
+            yield _bessel_pass(grid, group)
             group, size = [], 0
     if group:
-        yield _bessel_pass(thetas, group)
+        yield _bessel_pass(grid, group)
 
 
-def _bessel_pass(thetas, group):
+def _bessel_pass(grid, group):
     """The ChannelRows of a group of (k, alpha, channels, keys) or None:
     one x = alpha |q| row per key, then one call for the rows' elements
     that are not their mirror's repeat."""
     row_keys = [(k, alpha, kappa, n) for k, alpha, _, keys in filter(None, group)
                 for kappa, n in keys]
-    xs = np.empty((len(row_keys), thetas.size))
+    size = grid.thetas.size
+    xs = np.empty((len(row_keys), size))
     for row, (k, alpha, kappa, _) in zip(xs, row_keys):
-        np.multiply(alpha, geometry_grid(k, kappa, thetas)[2], out=row)
+        np.multiply(alpha, geometry_grid(k, kappa, grid.trig)[2], out=row)
     ns = np.broadcast_to(np.array([n for *_, n in row_keys], dtype=np.int64)[:, None],
                          xs.shape)
-    half = thetas.size // 2
-    back, front = xs[:, thetas.size - half:], xs[:, :half][:, ::-1]
+    half = size // 2
+    back, front = xs[:, size - half:], xs[:, :half][:, ::-1]
     mirrored = back == front
     todo = np.ones(xs.shape, dtype=bool)
-    todo[:, thetas.size - half:] = ~mirrored
+    todo[:, size - half:] = ~mirrored
     if xs.size:
         xs[todo] = specfun.bessel_j_grid(ns[todo], xs[todo])
     np.copyto(back, front, where=mirrored)
@@ -190,19 +200,20 @@ def _bessel_pass(thetas, group):
     return [g and ChannelRows(g[2], dict(zip(g[3], rows))) for g in group]
 
 
-def _channel_sum(rows, k, thetas, at_kappa, term):
-    """(sigma, per-channel terms) over the open channels of ``rows``.
+def _channel_sum(rows, grid, at_kappa, term):
+    """(sigma, per-channel terms) over the open channels of ``rows`` on
+    the AngleGrid ``grid``.
 
-    at_kappa(q_x, q_y, |q|) runs once per outgoing kappa and only its
-    result is kept. term(channel, at_kappa result, J row) is summed in
-    channel order with compensated summation (bit-stable outputs). The J
+    at_kappa(kappa) runs once per outgoing kappa. term(channel, at_kappa
+    result, J row) is summed in channel order with compensated summation
+    (bit-stable outputs). The J
     rows are those bessel_groups made, alone or with the rows of the
     other profiles of their group.
     """
-    at = {kappa: at_kappa(*geometry_grid(k, kappa, thetas))
+    at = {kappa: at_kappa(kappa)
           for kappa in dict.fromkeys(ch.kappa for ch in rows.channels)}
-    total = np.zeros_like(thetas)
-    comp = np.zeros_like(thetas)
+    total = np.zeros_like(grid.thetas)
+    comp = np.zeros_like(grid.thetas)
     per = {}
     for ch in rows.channels:
         t = term(ch, at[ch.kappa], rows.bess[(ch.kappa, abs(ch.l_in - ch.l_out))])
@@ -213,47 +224,58 @@ def _channel_sum(rows, k, thetas, at_kappa, term):
     return total, per
 
 
-def _rows_alone(thetas, beam, molecule):
+def _rows_alone(grid, beam, molecule):
     """The ChannelRows of one profile, a group of one."""
-    [rows] = next(bessel_groups(thetas, [(beam, molecule)]))
+    [rows] = next(bessel_groups(grid, [(beam, molecule)]))
     return rows
 
 
-def profile_general(thetas: np.ndarray, molecule: Molecule, beam: IncidentBeam,
+def _unique_v2(spec, k, kappa, grid):
+    """|V(q)|^2 at outgoing kappa on the grid's unique angles; ``take``
+    with grid.expand gives it on the whole grid."""
+    q_x, q_y, _ = geometry_grid(k, kappa, grid.unique)
+    re, im = ft_total_grid(spec, q_x, q_y)
+    re *= re
+    im *= im
+    re += im
+    return re
+
+
+def profile_general(thetas, molecule: Molecule, beam: IncidentBeam,
                     spec: PotentialSpec, rows: ChannelRows | None = None
                     ) -> CrossSectionProfile:
     """Channel-summed profile with per-channel arrays.
 
-    ``rows`` are this (beam, molecule)'s from bessel_groups on ``thetas``;
-    without them the profile is a group of one.
+    ``thetas`` is a theta array or its AngleGrid. ``rows`` are this
+    (beam, molecule)'s from bessel_groups on that grid; without them the
+    profile is a group of one.
     """
-    thetas = np.asarray(thetas, dtype=float)
+    grid = angle_grid(thetas)
     k = beam.wavenumber
     c = _rotor_prefactor(molecule.atom_mass, k)
 
-    def v2(q_x, q_y, q_mag):
-        re, im = ft_total_grid(spec, q_x, q_y)
-        return re * re + im * im
+    def v2(kappa):
+        return _unique_v2(spec, k, kappa, grid).take(grid.expand)
 
     def term(ch, v2_k, bess):
         return (c * ch.weight / math.pi ** 2) * bess * bess * v2_k
 
     if rows is None:
-        rows = _rows_alone(thetas, beam, molecule)
-    sigma, per = _channel_sum(rows, k, thetas, v2, term)
-    return CrossSectionProfile(thetas=thetas, sigma=sigma, per_channel=per,
+        rows = _rows_alone(grid, beam, molecule)
+    sigma, per = _channel_sum(rows, grid, v2, term)
+    return CrossSectionProfile(thetas=grid.thetas, sigma=sigma, per_channel=per,
                                metadata={"engine": "general", "k": k})
 
 
-def profile_structureless(thetas: np.ndarray, mass: float, k: float,
+def profile_structureless(thetas, mass: float, k: float,
                           spec: PotentialSpec) -> CrossSectionProfile:
+    """Point-particle profile; ``thetas`` is a theta array or its AngleGrid."""
     if mass <= 0:
         raise ValueError("mass must be > 0")
-    thetas = np.asarray(thetas, dtype=float)
-    q_x, q_y, _ = geometry_grid(k, k, thetas)
-    re, im = ft_total_grid(spec, q_x, q_y)
-    sigma = (2.0 * math.pi * mass * mass / k) * (re * re + im * im)
-    return CrossSectionProfile(thetas=thetas, sigma=sigma,
+    grid = angle_grid(thetas)
+    sigma = _unique_v2(spec, k, k, grid)
+    sigma *= 2.0 * math.pi * mass * mass / k
+    return CrossSectionProfile(thetas=grid.thetas, sigma=sigma.take(grid.expand),
                                metadata={"engine": "structureless", "k": k})
 
 
@@ -267,7 +289,7 @@ def closed_rotor(variant: str, k: float, alpha: float | None):
             Molecule(atom_mass=1.0, half_separation=alpha))
 
 
-def profile_closed(variant: str, thetas: np.ndarray, *, mass: float, v0: float,
+def profile_closed(variant: str, thetas, *, mass: float, v0: float,
                    delta: float, k: float, alpha: float | None = None,
                    d: float | None = None,
                    half_count: int | None = None,
@@ -278,8 +300,9 @@ def profile_closed(variant: str, thetas: np.ndarray, *, mass: float, v0: float,
     channels of closed_rotor: an l = 0 beam. A structureless twin is the
     same rotor at alpha = 0 (any alpha given is ignored) and returns no
     per-channel arrays. Built from the same primitives as
-    profile_general so the two can be compared tightly. ``rows`` are as
-    for profile_general, for closed_rotor's (beam, molecule).
+    profile_general so the two can be compared tightly. ``thetas`` and
+    ``rows`` are as for profile_general, for closed_rotor's (beam,
+    molecule).
     """
     if k <= 0:
         raise ValueError("k must be > 0")
@@ -290,10 +313,11 @@ def profile_closed(variant: str, thetas: np.ndarray, *, mass: float, v0: float,
     _require(variant, alpha=0.0 if twin else alpha, d=d)
     if internal == "closed_grating":
         _require(variant, half_count=half_count)
-    thetas = np.asarray(thetas, dtype=float)
+    grid = angle_grid(thetas)
     pref = _PREFACTOR[variant] * (math.pi * mass * mass * v0 * v0 * delta ** 4 / k)
 
-    def envelope(q_x, q_y, q_mag):
+    def envelope(kappa):
+        q_x, _, q_mag = geometry_grid(k, kappa, grid.trig)
         w = (q_mag * delta) ** 2
         return q_x, w, np.exp(-0.5 * w)
 
@@ -303,8 +327,8 @@ def profile_closed(variant: str, thetas: np.ndarray, *, mass: float, v0: float,
                               half_count)
 
     if rows is None:
-        rows = _rows_alone(thetas, *closed_rotor(variant, k, alpha))
-    sigma, per = _channel_sum(rows, k, thetas, envelope, term)
-    return CrossSectionProfile(thetas=thetas, sigma=sigma,
+        rows = _rows_alone(grid, *closed_rotor(variant, k, alpha))
+    sigma, per = _channel_sum(rows, grid, envelope, term)
+    return CrossSectionProfile(thetas=grid.thetas, sigma=sigma,
                                per_channel=None if twin else per,
                                metadata={"engine": variant, "k": k})

@@ -13,7 +13,6 @@ import contextlib
 import functools
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from itertools import chain
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
@@ -24,7 +23,7 @@ from . import output, specfun
 from .analysis import fringe_window, require_samples, visibility, visibility_ratio
 from .born import (bessel_groups, closed_rotor, profile_closed, profile_general,
                    profile_structureless, structureless_counterpart)
-from .kinematics import open_channels
+from .kinematics import AngleGrid, angle_grid, open_channels
 from .model import (
     CLOSED_TWINS,
     GAUSSIAN,
@@ -163,8 +162,8 @@ def _closed_params(cfg: Config) -> Dict[str, float]:
     return {"v0": a.strength, "delta": a.width, "d": peaks[0].center_x}
 
 
-def _engines(cfg: Config, thetas: np.ndarray, compare: bool) -> List[tuple]:
-    """The configured engine on ``thetas``, then for ``compare`` its
+def _engines(cfg: Config, grid: AngleGrid, compare: bool) -> List[tuple]:
+    """The configured engine on ``grid``, then for ``compare`` its
     structureless twin, each as a pair (rotor, run): rotor(k) is the
     (beam, molecule) whose channels the engine sums at k, or None for an
     engine without channels; run(k, rows) the profile at k from the
@@ -180,28 +179,28 @@ def _engines(cfg: Config, thetas: np.ndarray, compare: bool) -> List[tuple]:
     if variant == "general":
         def twin(k, rows):
             mass2, spec2 = structureless_counterpart(molecule, spec)
-            return profile_structureless(thetas, mass2, k, spec2)
+            return profile_structureless(grid, mass2, k, spec2)
         engines = [(lambda k: (_beam_for_k(cfg, k), molecule),
-                    lambda k, rows: profile_general(thetas, molecule,
+                    lambda k, rows: profile_general(grid, molecule,
                                                     _beam_for_k(cfg, k), spec,
                                                     rows=rows)),
                    (None, twin)]
     elif variant == "structureless":
         engines = [(None, lambda k, rows: profile_structureless(
-            thetas, molecule.atom_mass, k, spec))]
+            grid, molecule.atom_mass, k, spec))]
     else:
         params = _closed_params(cfg)
         alpha = molecule.half_separation
         engines = [(lambda k, v=v: closed_rotor(v, k, alpha),
                     lambda k, rows, v=v: profile_closed(
-                        v, thetas, mass=molecule.atom_mass, k=k, alpha=alpha,
+                        v, grid, mass=molecule.atom_mass, k=k, alpha=alpha,
                         rows=rows, **params))
                    for v in ((variant, CLOSED_TWINS[variant]) if compare
                              else (variant,))]
     return engines[:1 + compare]
 
 
-def _profiles(engines: List[tuple], thetas: np.ndarray,
+def _profiles(engines: List[tuple], grid: AngleGrid,
               k_values: Tuple[float, ...],
               threads: int) -> List[List[CrossSectionProfile]]:
     """Each engine's profile at each k, one Bessel group at a time (see
@@ -227,10 +226,12 @@ def _profiles(engines: List[tuple], thetas: np.ndarray,
     tasks = [(engine, k) for _, engine in engines for k in k_values]
     rotors = [rotor and rotor(k) for rotor, _ in engines for k in k_values]
     profiles = []
-    pool = (ThreadPoolExecutor(max_workers=threads)
-            if threads > 1 and len(tasks) > 1 else None)
+    pool = None
+    if threads > 1 and len(tasks) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only a pool needs it
+        pool = ThreadPoolExecutor(max_workers=threads)
     with np.errstate(all="ignore"), pool or contextlib.nullcontext():
-        for rows in bessel_groups(thetas, rotors):
+        for rows in bessel_groups(grid, rotors):
             batch = tasks[len(profiles):len(profiles) + len(rows)]
             profiles += (pool.map if pool else map)(run, zip(batch, rows))
             del rows  # free this group's rows before the next is made
@@ -254,8 +255,10 @@ def _run_engines(args) -> Tuple[Config, np.ndarray, Tuple[float, ...], dict,
         raise ConfigError([("scan.k", "sweep needs a non-empty list")])
     k_values = ((cfg.beam.wavenumber,) if args.subcommand == "profile"
                 else scan.k_values or (cfg.beam.wavenumber,))
-    thetas = scan.thetas()
-    engines = _engines(cfg, thetas, compare)
+    # the run's one trig pass over the grid and its mirror map
+    grid = angle_grid(scan.thetas())
+    thetas = grid.thetas
+    engines = _engines(cfg, grid, compare)
     if compare:
         # sigma oscillates in theta no faster than kappa_max * (span of the peak
         # centres + 2 alpha): the pair phases q_x * (c - c') and J^2(alpha |q|)
@@ -264,7 +267,7 @@ def _run_engines(args) -> Tuple[Config, np.ndarray, Tuple[float, ...], dict,
                         for ch in open_channels(_beam_for_k(cfg, k), cfg.molecule))
         require_samples(thetas, kappa_max * (max(centres) - min(centres)
                                              + 2.0 * cfg.molecule.half_separation))
-    profiles = _profiles(engines, thetas, k_values, args.threads)
+    profiles = _profiles(engines, grid, k_values, args.threads)
     return cfg, thetas, k_values, manifest, profiles
 
 

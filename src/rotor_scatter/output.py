@@ -51,7 +51,11 @@ does (Adams, "Ryu revisited: printf floating point conversion", OOPSLA
 
 Each float vector a file holds is a ``Column``, which keeps its cells
 from one formatting pass; the CLI hands the same ``Column`` objects to
-both writers, so a value is formatted once for the CSV and the JSON.
+both writers, so a value is formatted once for the CSV and the JSON. A
+cell is a function of its value's bits alone, so a back-half value with
+the bits of its mirror (index n - 1 - i) takes a copy of that value's
+cell instead: a sigma column on a symmetric theta grid holds such a
+pair at every exact mirror angle of the grid (``kinematics.AngleGrid``).
 ``_lay_out`` makes every text from cells, with one mask over the cells
 and what follows each: ``fmt_table`` a whole table, the CSV writers each
 block of ``_BLOCK_ROWS`` rows from the column slices side by side, and
@@ -127,6 +131,7 @@ _CHUNK = 4096
 _NUMBER = 24  # len("-2.2250738585072014e-308")
 _E_LO, _E_HI = -230, 229
 _ROUND_MARGIN = 2.0 ** -46
+_CELL = np.dtype((np.void, _NUMBER))  # a cell as one item, which copies faster
 
 # a value's character source, _SOURCE bytes: the sign and the "0", "."
 # and "e" fillers, the 17 digits at 3..19 (four-digit groups from byte 4
@@ -316,9 +321,13 @@ class Column:
 
     ``cells()`` is its ``fmt_real`` text as the kernel writes it: an
     (n, _NUMBER) uint8 array of left-aligned cells and their uint8
-    lengths, formatted ``_CHUNK`` values at a time. It is kept until
-    ``drop()``, so every writer handed the same column lays out the same
-    cells; the caller has refused non-finite values first.
+    lengths. It is kept until ``drop()``, so every writer handed the
+    same column lays out the same cells; the caller has refused
+    non-finite values first. A value of the back half whose bits (as
+    int64, so -0.0 and +0.0 differ) are those of its mirror, index
+    n - 1 - i, is not formatted but takes a copy of its mirror's cell.
+    Every other value is formatted in order, ``_CHUNK`` at a time, each
+    chunk written straight into the kept arrays.
     """
 
     def __init__(self, values):
@@ -330,12 +339,23 @@ class Column:
 
     def cells(self) -> Tuple[np.ndarray, np.ndarray]:
         if self._cells is None:
-            # joined after the chunks: the kept arrays then sit above the
-            # chunks' freed temporaries, which the next column reuses rather
-            # than faulting in afresh; an empty column is one empty chunk
-            parts = [_format_cells(self.values[s:s + _CHUNK])
-                     for s in range(0, max(len(self), 1), _CHUNK)]
-            self._cells = tuple(np.concatenate(part) for part in zip(*parts))
+            values, n = self.values, len(self)
+            half = n // 2
+            cells = np.empty((n, _NUMBER), dtype=np.uint8)
+            length = np.empty(n, dtype=np.uint8)
+            items = cells.view(_CELL).reshape(n)
+            back = slice(n - half, n)
+            repeats = values[back].view(np.int64) == values[:half][::-1].view(np.int64)
+            todo = np.flatnonzero(np.concatenate([np.ones(n - half, dtype=bool), ~repeats]))
+            for s in range(0, todo.size, _CHUNK):
+                part = todo[s:s + _CHUNK]
+                if part[-1] - part[0] == part.size - 1:  # a run: slices copy faster
+                    part = slice(part[0], part[-1] + 1)
+                text, length[part] = _format_cells(values[part])
+                items[part] = text.view(_CELL).reshape(-1)
+            np.copyto(items[back], items[:half][::-1], where=repeats)
+            np.copyto(length[back], length[:half][::-1], where=repeats)
+            self._cells = cells, length
         return self._cells
 
     def drop(self) -> None:

@@ -47,15 +47,19 @@ def ft_total_grid(spec: PotentialSpec, q_x: np.ndarray, q_y: np.ndarray):
 
     Peaks are folded in a canonical sorted order, so the result does not
     depend on how the peak list was assembled, bit for bit; values at
-    +-q_x are exact complex conjugates. Each peak adds ft*cos(a) to re
-    and subtracts ft*sin(a) from im, a = q_x*c.
+    +-q_x are exact complex conjugates (equal re, negated im, so
+    re^2 + im^2 has the same bits, which born's mirror copies rest on).
+    Each peak adds ft*cos(a) to re and subtracts ft*sin(a) from im,
+    a = q_x*c.
 
     The trig of a centre c is computed once and reused by every later
-    peak at c or at -c, then dropped after its last user. This gives the
-    same bits as computing it per peak because q_x*(-c) is exactly
-    -(q_x*c) and numpy's cos is even and sin odd bit for bit, so a
-    mirrored peak adds ft*sin(a) to im instead. numpy picks its trig
-    kernels per CPU, so the parity is not assumed: it is asserted by
+    peak at c or at -c, then dropped after its last user; where all the
+    peaks at +-c have one shape, the products ft*cos(a) and ft*sin(a)
+    are kept in its place and reused too. This gives the same bits as
+    computing them per peak because q_x*(-c) is exactly -(q_x*c) and
+    numpy's cos is even and sin odd bit for bit, so a mirrored peak adds
+    ft*sin(a) to im instead. numpy picks its trig kernels per CPU, so
+    the parity is not assumed: it is asserted by
     tests/test_potentials.py::TestMirrorTrig::test_cos_even_sin_odd_bitwise.
     A centre at +-0 takes no trig: a is +-0 there, where cos is 1 and sin
     returns its argument, bit for bit (TestMirrorTrig asserts that too),
@@ -65,8 +69,11 @@ def ft_total_grid(spec: PotentialSpec, q_x: np.ndarray, q_y: np.ndarray):
     peaks = sorted(spec.peaks, key=lambda p: (p.center_x, p.shape.variant,
                                               p.shape.strength, p.shape.width))
     last_use = {abs(p.center_x): j for j, p in enumerate(peaks)}
+    shapes = {}
+    for p in peaks:
+        shapes.setdefault(abs(p.center_x), set()).add(p.shape)
     fts = {}
-    trig = {}
+    held = {}  # per |c|: the sign of its first centre, cos and sin or their products
     re = np.zeros_like(q)
     im = np.zeros_like(q)
     term = np.empty_like(q)
@@ -77,23 +84,26 @@ def ft_total_grid(spec: PotentialSpec, q_x: np.ndarray, q_y: np.ndarray):
             fts[p.shape] = ft
         c = p.center_x
         key = abs(c)
-        if key not in trig:
+        shared = len(shapes[key]) == 1
+        if key not in held:
             a = q_x * c
             if c == 0.0:  # a is +-0 (NaN where q_x is not finite)
                 cos_a, sin_a = a * 0.0 + 1.0, a
             else:
                 cos_a, sin_a = np.cos(a), np.sin(a)
-            trig[key] = (math.copysign(1.0, c), cos_a, sin_a)
-        sign, cos_a, sin_a = trig[key]
+            if shared:
+                cos_a *= ft
+                sin_a *= ft
+            held[key] = (math.copysign(1.0, c), cos_a, sin_a)
+        sign, cos_a, sin_a = held[key]
         if last_use[key] == j:
-            del trig[key]
-        np.multiply(ft, cos_a, out=term)
-        np.add(re, term, out=re)
-        np.multiply(ft, sin_a, out=term)
+            del held[key]
+        re += cos_a if shared else np.multiply(ft, cos_a, out=term)
+        sin_term = sin_a if shared else np.multiply(ft, sin_a, out=term)
         if math.copysign(1.0, c) == sign:
-            np.subtract(im, term, out=im)
+            im -= sin_term
         else:
-            np.add(im, term, out=im)
+            im += sin_term
     return re, im
 
 

@@ -522,3 +522,68 @@ class TestBesselGroups:
             assert np.array_equal(got.sigma, want.sigma)
             for key, arr in (want.per_channel or {}).items():
                 assert np.array_equal(got.per_channel[key], arr)
+
+
+# every engine on a theta grid: the general engine with GROUP_ROTORS'
+# multi-state beams, the point particle and each closed variant and twin
+MIXED_PEAKS = PotentialSpec(peaks=(Peak(2.0, gauss(1.0, 0.9)), Peak(-2.0, gauss(1.0, 0.9)),
+                                   Peak(-0.0, poly(0.7, 1.2)), Peak(1.1, poly(-0.4, 0.6)),
+                                   Peak(-1.1, gauss(0.5, 0.6))))
+CLOSED_KW = dict(mass=1.0, v0=1.0, delta=0.8, k=4.5, alpha=0.9, d=2.0, half_count=1)
+GRID_ENGINES = {
+    **{f"general-{i}": (lambda th, r=GROUP_ROTORS[i]: profile_general(
+        th, r[1], r[0], MIXED_PEAKS)) for i in (0, 1)},
+    "structureless": lambda th: profile_structureless(th, 1.3, 2.7, MIXED_PEAKS),
+    **{v: (lambda th, v=v: profile_closed(v, th, **CLOSED_KW))
+       for pair in CLOSED_TWINS.items() for v in pair},
+}
+
+
+def split_profile(make, th):
+    """sigma and per-channel arrays of ``make`` on th[:h] and th[h:],
+    joined, h = size // 2. A half of one angle is evaluated with a
+    companion 1e-3 on, since a profile needs two samples; the companion
+    is no mirror of it."""
+    h = th.size // 2
+    parts = []
+    for half in (th[:h], th[h:]):
+        grid = half if half.size > 1 else np.array([half[0], half[0] + 1e-3])
+        p = make(grid)
+        parts.append((p.sigma[:half.size],
+                      {key: arr[:half.size] for key, arr in (p.per_channel or {}).items()}))
+    (s0, per0), (s1, per1) = parts
+    return np.concatenate([s0, s1]), {key: np.concatenate([per0[key], per1[key]])
+                                      for key in per0}
+
+
+class TestMirrorCopies:
+    @pytest.mark.parametrize("engine", sorted(GRID_ENGINES))
+    @pytest.mark.parametrize("grid", sorted(GROUP_GRIDS))
+    def test_full_grid_has_the_bits_of_its_halves(self, grid, engine):
+        # neither half holds a mirror pair, so nothing is copied there
+        th = GROUP_GRIDS[grid]
+        make = GRID_ENGINES[engine]
+        full = make(th)
+        sigma, per = split_profile(make, th)
+        assert np.array_equal(full.sigma.view(np.uint64), sigma.view(np.uint64))
+        assert sorted(full.per_channel or {}) == sorted(per)
+        for key, arr in per.items():
+            assert np.array_equal(full.per_channel[key].view(np.uint64), arr.view(np.uint64))
+
+    @pytest.mark.parametrize("grid", ["symmetric_odd", "asymmetric_odd", "asymmetric_even"])
+    def test_transform_sees_each_mirror_pair_once(self, grid, monkeypatch):
+        seen = []
+        real = born.ft_total_grid
+        monkeypatch.setattr(born, "ft_total_grid",
+                            lambda spec, q_x, q_y: seen.append(q_x.size) or real(spec, q_x, q_y))
+        th = GROUP_GRIDS[grid]
+        kappas = 0
+        for beam, molecule in GROUP_ROTORS[:2]:
+            profile_general(th, molecule, beam, MIXED_PEAKS)
+            kappas += len({ch.kappa for ch in open_channels(beam, molecule)})
+        profile_structureless(th, 1.3, 2.7, MIXED_PEAKS)
+        assert len(seen) == kappas + 1
+        if grid == "symmetric_odd":
+            assert sum(seen) < th.size * (kappas + 1)
+        else:
+            assert sum(seen) == th.size * (kappas + 1)

@@ -117,6 +117,14 @@ def edge_column(n, shift=0):
     return np.where(np.arange(n) % 3 == 0, edges, spread)
 
 
+def mirror_repeats(values):
+    """How many values i of the back half have the bits of value n - 1 - i."""
+    values = np.asarray(values, dtype=float)
+    n = values.size
+    return sum(values[i].tobytes() == values[n - 1 - i].tobytes()
+               for i in range(n - n // 2, n))
+
+
 class TestFmtTable:
     def test_edge_values_match_fmt_real(self):
         assert fmt_table(EDGE_VALUES) == ref_table(EDGE_VALUES)
@@ -423,8 +431,14 @@ class TestWritersMatchPerValueReference:
                "channels": {f"sigma_{a}_{b}": c for (a, b), c in per_channel.items()}}
         assert json_text(doc) == ref_emit_json(as_lists(doc))
         # rows values per Column: 4 in the sweep, 7 in the compare and 5 in
-        # the profile; the k lists of two documents and three windows
-        assert sum(formatted) == (4 + 7 + 5) * rows + 2 * len(ks) + 3 * 2
+        # the profile, less each back-half value with its mirror's bits; the
+        # k lists of two documents and three windows. edge_column holds
+        # EDGE_VALUES with period 15 at every third index, and 511 - 1 is
+        # 34 * 15: there 221 values repeat their mirror's bits
+        columns = [thetas, *arrays[:3], thetas, *arrays, thetas, p.sigma, *arrays[:3]]
+        assert sum(map(mirror_repeats, columns)) == (221 if rows == 511 else 0)
+        assert sum(formatted) == ((4 + 7 + 5) * rows + 2 * len(ks) + 3 * 2
+                                  - (221 if rows == 511 else 0))
 
     def test_columns_must_match_theta_grid(self):
         with pytest.raises(ValueError):
@@ -509,6 +523,53 @@ class TestWritersMatchPerValueReference:
                 write_text(tmp_path / name, writer())
             assert str(got.value) == str(want.value), name
             assert not (tmp_path / name).exists(), name
+
+
+# signed zeros, subnormals, fmt_real's fallbacks and kernel values
+MIRROR_POOL = np.array([0.0, -0.0, 5e-324, -5e-324, 1.5e-310, 2.2250738585072009e-308,
+                        1e20, 1e-300, 1e300, 0.1, 1.0, -2.5e-7, 123456789.0])
+
+
+def mirrored_column(n, rng):
+    """n values whose back half mostly repeats its mirror's bits, index
+    n - 1 - i: a share is negated or replaced, and the outermost two
+    pairs are +0.0 against -0.0."""
+    values = np.where(rng.random(n) < 0.5, rng.choice(MIRROR_POOL, n),
+                      rng.standard_normal(n) * 10.0 ** rng.integers(-300, 301, n))
+    half = n // 2
+    back = values[n - half:]
+    back[:] = values[:half][::-1]
+    back[rng.random(half) < 0.2] *= -1.0
+    changed = rng.random(half) < 0.1
+    back[changed] = rng.choice(MIRROR_POOL, changed.sum())
+    if half >= 2:
+        values[[0, 1, n - 2, n - 1]] = [0.0, -0.0, 0.0, -0.0]
+    return values
+
+
+class TestMirroredColumns:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, _CHUNK + 1, 2 * _CHUNK + 1])
+    def test_text_is_fmt_real_per_value(self, n, monkeypatch):
+        formatted = []
+        real_format_cells = output._format_cells
+        monkeypatch.setattr(output, "_format_cells", lambda x: (
+            formatted.append(x.size) or real_format_cells(x)))
+        values = mirrored_column(n, np.random.default_rng(n))
+        thetas = np.linspace(-1.0, 1.0, n)
+        column = Column(values)
+        csv = sweep_text(thetas, [2.0], [column])
+        assert csv == ref_sweep_csv(thetas, [2.0], [values])
+        assert json_text({"sigma": column}) == ref_emit_json({"sigma": values.tolist()})
+        assert fmt_table(values) == ref_table(values.tolist())
+        if n >= 4:  # +0.0 prints 0 and -0.0 prints -0, at either end
+            rows = [line.split(",")[1] for line in csv.splitlines()[1:]]
+            assert rows[:2] == ["0", "-0"] and rows[-2:] == ["0", "-0"]
+        # each value that repeats its mirror's bits is copied, not formatted:
+        # the theta column has none, the sigma column once, fmt_table's again
+        repeats = mirror_repeats(values)
+        assert mirror_repeats(thetas) == 0
+        assert sum(formatted) == n + 2 * (n - repeats)
+        assert repeats >= (n // 2) // 2
 
 
 def ref_svg_coords(xs, ys, x_range, y_range):

@@ -243,6 +243,48 @@ class TestMirrorTrig:
         assert same_bits(im, want_im)
 
 
+def mirrored_peak_set(rng):
+    """Peaks of both shapes and repeated shapes: centres at 0.0 and -0.0,
+    mirrored pairs of one shape and of two, lone centres, and a repeat."""
+    shapes = [PeakShape(variant, float(rng.uniform(-2.0, 2.0)), float(rng.uniform(0.2, 2.0)))
+              for variant in (GAUSSIAN, POLYNOMIAL_GAUSSIAN) for _ in range(2)]
+
+    def shape():
+        return shapes[rng.integers(len(shapes))]
+
+    same, other = shape(), shape()
+    c1, c2, lone1, lone2 = rng.uniform(0.05, 8.0, 4).tolist()
+    peaks = [Peak(0.0, shape()), Peak(-0.0, shape()),
+             Peak(c1, same), Peak(-c1, same), Peak(c1, same),
+             Peak(c2, other), Peak(-c2, shape()),
+             Peak(lone1, shape()), Peak(-lone2, shape())]
+    keep = rng.random(len(peaks)) < 0.7
+    peaks = [p for p, k in zip(peaks, keep) if k] or peaks[:1]
+    rng.shuffle(peaks)
+    return PotentialSpec(peaks=tuple(peaks))
+
+
+class TestConjugateBits:
+    """The identity born's mirror copies rest on: at -q_x, re has the bits
+    of re at q_x, im those of -im (or both are zero), and re^2 + im^2 has
+    the same bits."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_mirrored_q_x_grid(self, seed):
+        rng = np.random.default_rng(seed)
+        spec = mirrored_peak_set(rng)
+        q_x = np.concatenate([[0.0, -0.0, 5e-324, -1e-300, 1e-8],
+                              np.linspace(-25.0, 25.0, 2001),
+                              rng.uniform(-1e3, 1e3, 500)])
+        q_y = np.concatenate([np.zeros(7), rng.uniform(-4.0, 4.0, q_x.size - 7)])
+        re, im = ft_total_grid(spec, q_x, q_y)
+        re_m, im_m = ft_total_grid(spec, -q_x, q_y)
+        assert same_bits(re_m, re)
+        zero = (im == 0.0) & (im_m == 0.0)
+        assert same_bits(im_m[~zero], -im[~zero])
+        assert same_bits(re_m * re_m + im_m * im_m, re * re + im * im)
+
+
 class TestDirichletAmplitude:
     def test_center_value(self):
         assert dirichlet_amplitude(0.0, 10) == 21.0
