@@ -13,6 +13,7 @@ import contextlib
 import functools
 import json
 import sys
+from dataclasses import replace
 from itertools import chain
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
@@ -26,12 +27,9 @@ from .born import (bessel_groups, closed_rotor, profile_closed, profile_general,
 from .kinematics import AngleGrid, angle_grid, open_channels
 from .model import (
     CLOSED_TWINS,
-    GAUSSIAN,
-    POLYNOMIAL_GAUSSIAN,
     Config,
     ConfigError,
     CrossSectionProfile,
-    IncidentBeam,
     serialize_config,
     validate_config,
 )
@@ -42,9 +40,7 @@ _TABLE_FORMATS = ("csv", "json")  # validate and bessel-table draw no plot
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
+    """A usage or file error; the CLI exits 1 on it."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -52,7 +48,7 @@ class _Parser(argparse.ArgumentParser):
     # configuration errors here and must exit 1
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise CliError(f"{self.prog}: {message}", 1)
+        raise CliError(f"{self.prog}: {message}")
 
 
 def build_parser() -> _Parser:
@@ -97,9 +93,9 @@ def _parse_formats(raw: str, writable: Tuple[str, ...]) -> Tuple[str, ...]:
     for p in parts:
         if p not in writable:
             raise CliError(f"cannot write format {p!r}, expected subset of "
-                           f"{','.join(writable)}", 1)
+                           f"{','.join(writable)}")
     if not parts:
-        raise CliError("at least one output format is required", 1)
+        raise CliError("at least one output format is required")
     return tuple(sorted(set(parts)))
 
 
@@ -107,105 +103,64 @@ def _load_config(path: str) -> Config:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise CliError(f"cannot read config {path}: {exc}", 1)
+        raise CliError(f"cannot read config {path}: {exc}")
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
-        raise CliError(f"config {path} is not valid JSON: {exc}", 1)
+        raise CliError(f"config {path} is not valid JSON: {exc}")
     return validate_config(doc)
 
 
-def _beam_for_k(cfg: Config, k: float) -> IncidentBeam:
-    return IncidentBeam(wavenumber=k,
-                        amplitudes={l: a for l, a in cfg.beam.sorted_states()})
-
-
 def _closed_params(cfg: Config) -> Dict[str, float]:
-    """Map the configured potential onto a closed-form parameter bag."""
-    variant = cfg.engine_variant
-    states = [l for l, _ in cfg.beam.sorted_states()]
-    if states != [0]:
-        raise ConfigError([("beam.amplitudes",
-                            "closed engines require a pure l = 0 beam")])
-    peaks = cfg.potential.peaks
-    if variant.endswith("grating"):
-        if cfg.grating is None:
-            raise ConfigError([("potential.kind", "closed grating engines "
-                                "need potential.kind = 'grating'")])
-        shape = peaks[0].shape
-        if shape.variant != GAUSSIAN:
-            raise ConfigError([("potential.grating.shape.variant",
-                                "closed grating engines support Gaussian "
-                                "peaks only")])
-        half_count, spacing = cfg.grating
-        return {"v0": shape.strength, "delta": shape.width,
-                "d": spacing, "half_count": half_count}
-    if len(peaks) != 2 or peaks[0].center_x != -peaks[1].center_x \
-            or peaks[0].center_x <= 0:
-        # a grating has 1 or >= 3 peaks: its kind is what is wrong
-        path = "potential.peaks" if cfg.grating is None else "potential.kind"
-        raise ConfigError([(path, "closed two-peak engines need exactly two "
-                            "peaks at +d and -d with d > 0")])
-    a, b = peaks[0].shape, peaks[1].shape
-    if a.strength != b.strength or a.width != b.width:
-        raise ConfigError([("potential.peaks", "closed two-peak engines need "
-                            "equal strength and width on both peaks")])
-    if variant.endswith("mixed"):
-        want = (POLYNOMIAL_GAUSSIAN, GAUSSIAN)
-    else:
-        want = (GAUSSIAN, GAUSSIAN)
-    if (a.variant, b.variant) != want:
-        i = 0 if a.variant != want[0] else 1
-        raise ConfigError([(f"potential.peaks[{i}].shape", f"engine {variant} "
-                            f"needs peak shapes {want[0]} at +d and {want[1]} "
-                            "at -d")])
-    return {"v0": a.strength, "delta": a.width, "d": peaks[0].center_x}
+    """The closed-form parameters of the configured potential, which
+    validate_config has matched to the closed engine's template."""
+    first = cfg.potential.peaks[0]
+    params = {"v0": first.shape.strength, "delta": first.shape.width, "d": first.center_x}
+    if cfg.grating is not None:
+        params["half_count"], params["d"] = cfg.grating
+    return params
 
 
-def _engines(cfg: Config, grid: AngleGrid, compare: bool) -> List[tuple]:
-    """The configured engine on ``grid``, then for ``compare`` its
-    structureless twin, each as a pair (rotor, run): rotor(k) is the
-    (beam, molecule) whose channels the engine sums at k, or None for an
-    engine without channels; run(k, rows) the profile at k from the
-    ChannelRows of that rotor (None for None).
-
-    A closed engine's template is checked here, once per run.
+def _plan(cfg: Config, grid: AngleGrid, k_values: Tuple[float, ...],
+          compare: bool) -> List[tuple]:
+    """One (rotor, profile) pair per profile of the run on ``grid``: the
+    configured engine's at each k, then for ``compare`` its structureless
+    twin's. rotor is the (beam, molecule) whose channels the profile sums,
+    or None for an engine without channels; profile(rows) makes the
+    profile from the ChannelRows of that rotor (None for None).
     """
     variant, molecule, spec = cfg.engine_variant, cfg.molecule, cfg.potential
-    if compare and variant not in ("general", *CLOSED_TWINS):
-        raise ConfigError([("engine.variant", "compare needs an "
-                            "internal-structure engine (general or a closed "
-                            "internal variant)")])
-    if variant == "general":
-        def twin(k, rows):
-            mass2, spec2 = structureless_counterpart(molecule, spec)
-            return profile_structureless(grid, mass2, k, spec2)
-        engines = [(lambda k: (_beam_for_k(cfg, k), molecule),
-                    lambda k, rows: profile_general(grid, molecule,
-                                                    _beam_for_k(cfg, k), spec,
-                                                    rows=rows)),
-                   (None, twin)]
-    elif variant == "structureless":
-        engines = [(None, lambda k, rows: profile_structureless(
-            grid, molecule.atom_mass, k, spec))]
-    else:
+
+    def point_particle(mass, spec):
+        return [(None, lambda rows, k=k: profile_structureless(grid, mass, k, spec))
+                for k in k_values]
+
+    if variant == "structureless":
+        return point_particle(molecule.atom_mass, spec)
+    if variant != "general":
         params = _closed_params(cfg)
         alpha = molecule.half_separation
-        engines = [(lambda k, v=v: closed_rotor(v, k, alpha),
-                    lambda k, rows, v=v: profile_closed(
-                        v, grid, mass=molecule.atom_mass, k=k, alpha=alpha,
-                        rows=rows, **params))
-                   for v in ((variant, CLOSED_TWINS[variant]) if compare
-                             else (variant,))]
-    return engines[:1 + compare]
+        return [(closed_rotor(v, k, alpha),
+                 lambda rows, v=v, k=k: profile_closed(
+                     v, grid, mass=molecule.atom_mass, k=k, alpha=alpha,
+                     rows=rows, **params))
+                for v in ((variant, CLOSED_TWINS[variant]) if compare
+                          else (variant,))
+                for k in k_values]
+    plan = [((beam, molecule),
+             lambda rows, beam=beam: profile_general(grid, molecule, beam, spec,
+                                                     rows=rows))
+            for beam in (replace(cfg.beam, wavenumber=k) for k in k_values)]
+    if compare:
+        plan += point_particle(*structureless_counterpart(molecule, spec))
+    return plan
 
 
-def _profiles(engines: List[tuple], grid: AngleGrid,
-              k_values: Tuple[float, ...],
-              threads: int) -> List[List[CrossSectionProfile]]:
-    """Each engine's profile at each k, one Bessel group at a time (see
-    born.bessel_groups), each group's profiles on a pool of ``threads``
-    workers.
+def _profiles(plan: List[tuple], grid: AngleGrid,
+              threads: int) -> List[CrossSectionProfile]:
+    """The profile of each (rotor, profile) pair of ``plan``, one Bessel
+    group at a time (see born.bessel_groups), each group's profiles on a
+    pool of ``threads`` workers.
 
     Overflow or invalid arithmetic in an engine leaves a non-finite sigma,
     which CrossSectionProfile refuses (exit 2, one message line); numpy's
@@ -215,60 +170,61 @@ def _profiles(engines: List[tuple], grid: AngleGrid,
     look like a result.
     """
     def run(task):
-        (engine, k), rows = task
+        (_, profile), rows = task
         with np.errstate(all="ignore"):
-            profile = engine(k, rows)
-        if not profile.sigma.any():
-            raise ValueError(f"sigma is 0 at every angle at k={k!r}: it is "
-                             "below the double range, or v0 = 0 on every peak")
-        return profile
+            result = profile(rows)
+        if not result.sigma.any():
+            raise ValueError(f"sigma is 0 at every angle at k={result.metadata['k']!r}: "
+                             "it is below the double range, or v0 = 0 on every peak")
+        return result
 
-    tasks = [(engine, k) for _, engine in engines for k in k_values]
-    rotors = [rotor and rotor(k) for rotor, _ in engines for k in k_values]
     profiles = []
     pool = None
-    if threads > 1 and len(tasks) > 1:
+    if threads > 1 and len(plan) > 1:
         from concurrent.futures import ThreadPoolExecutor  # only a pool needs it
         pool = ThreadPoolExecutor(max_workers=threads)
     with np.errstate(all="ignore"), pool or contextlib.nullcontext():
-        for rows in bessel_groups(grid, rotors):
-            batch = tasks[len(profiles):len(profiles) + len(rows)]
+        for rows in bessel_groups(grid, [rotor for rotor, _ in plan]):
+            batch = plan[len(profiles):len(profiles) + len(rows)]
             profiles += (pool.map if pool else map)(run, zip(batch, rows))
             del rows  # free this group's rows before the next is made
-    n = len(k_values)
-    return [profiles[i:i + n] for i in range(0, len(profiles), n)]
+    return profiles
 
 
 def _run_engines(args) -> Tuple[Config, np.ndarray, Tuple[float, ...], dict,
                                 List[List[CrossSectionProfile]]]:
     """Config, theta grid, wavenumbers, manifest and profiles of a profile,
     sweep or compare run: the engine's at each k, then for compare the
-    twin's. Every refusal comes before the first profile."""
+    twin's. validate_config holds every rule of a config; here are only
+    those of the subcommand: sweep needs a non-empty scan.k, compare an
+    engine with a twin and enough angles per fringe. Every refusal comes
+    before the first profile."""
     cfg = _load_config(args.config)
     manifest = {"subcommand": args.subcommand, "config": serialize_config(cfg),
                 "formats": list(_parse_formats(args.format, _FORMATS))}
     scan, compare = cfg.scan, args.subcommand == "compare"
-    if scan is None:
-        raise ConfigError([("scan", "this subcommand needs a scan block "
-                            "with a theta grid")])
     if args.subcommand == "sweep" and not scan.k_values:
         raise ConfigError([("scan.k", "sweep needs a non-empty list")])
+    if compare and cfg.engine_variant not in ("general", *CLOSED_TWINS):
+        raise ConfigError([("engine.variant", "compare needs an "
+                            "internal-structure engine (general or a closed "
+                            "internal variant)")])
     k_values = ((cfg.beam.wavenumber,) if args.subcommand == "profile"
                 else scan.k_values or (cfg.beam.wavenumber,))
     # the run's one trig pass over the grid and its mirror map
     grid = angle_grid(scan.thetas())
-    thetas = grid.thetas
-    engines = _engines(cfg, grid, compare)
+    plan = _plan(cfg, grid, k_values, compare)
     if compare:
         # sigma oscillates in theta no faster than kappa_max * (span of the peak
         # centres + 2 alpha): the pair phases q_x * (c - c') and J^2(alpha |q|)
         centres = [p.center_x for p in cfg.potential.peaks]
-        kappa_max = max(ch.kappa for k in k_values
-                        for ch in open_channels(_beam_for_k(cfg, k), cfg.molecule))
-        require_samples(thetas, kappa_max * (max(centres) - min(centres)
-                                             + 2.0 * cfg.molecule.half_separation))
-    profiles = _profiles(engines, grid, k_values, args.threads)
-    return cfg, thetas, k_values, manifest, profiles
+        kappa_max = max(ch.kappa for rotor, _ in plan if rotor
+                        for ch in open_channels(*rotor))
+        require_samples(grid.thetas, kappa_max * (max(centres) - min(centres)
+                                                  + 2.0 * cfg.molecule.half_separation))
+    profiles, n = _profiles(plan, grid, args.threads), len(k_values)
+    return (cfg, grid.thetas, k_values, manifest,
+            [profiles[i:i + n] for i in range(0, len(profiles), n)])
 
 
 def _json(doc) -> Iterable[str]:
@@ -290,7 +246,7 @@ def _write_run(out_root: str, manifest: dict,
             if fmt in manifest["formats"]:
                 output.write_text(run_dir / name, pieces())
     except OSError as exc:
-        raise CliError(f"cannot write {run_dir}: {exc}", 1)
+        raise CliError(f"cannot write {run_dir}: {exc}")
     print(run_dir)
     return 0
 
@@ -365,7 +321,7 @@ def cmd_validate(args) -> int:
     try:
         results = run_checks(only=args.only)
     except ValueError as exc:
-        raise CliError(str(exc), 1)
+        raise CliError(str(exc))
     except OracleConvergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
@@ -388,9 +344,9 @@ def cmd_validate(args) -> int:
 def cmd_bessel_table(args) -> int:
     formats = _parse_formats(args.format, _TABLE_FORMATS)
     if args.n_max < 0 or args.n_max > specfun.ORDER_CAP:
-        raise CliError(f"--n-max must be in [0, {specfun.ORDER_CAP}]", 1)
+        raise CliError(f"--n-max must be in [0, {specfun.ORDER_CAP}]")
     if not 0.0 <= args.x <= specfun.ARGUMENT_CAP:  # NaN fails too
-        raise CliError(f"--x must be in [0, {specfun.ARGUMENT_CAP:g}]", 1)
+        raise CliError(f"--x must be in [0, {specfun.ARGUMENT_CAP:g}]")
     values = output.Column(specfun.bessel_j_batch(args.n_max, args.x))
     manifest = {"subcommand": "bessel-table", "n_max": args.n_max,
                 "x": args.x, "formats": list(formats)}
@@ -427,7 +383,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _DISPATCH[args.subcommand](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return 1
     except ConfigError as exc:
         for path, message in exc.errors:
             print(f"config error: {path}: {message}", file=sys.stderr)

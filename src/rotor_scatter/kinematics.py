@@ -64,10 +64,6 @@ def open_channels(beam: IncidentBeam, molecule: Molecule) -> list[Channel]:
     out = []
     for l_in, amp in beam.sorted_states():
         weight = abs(amp) ** 2
-        if alpha == 0.0:
-            if l_in == 0:
-                out.append(Channel(l_in=0, l_out=0, kappa=k, weight=weight))
-            continue
         bound = math.sqrt(max(0.0, l_in * l_in + (k * alpha) ** 2))
         l_max = int(math.floor(bound)) + 1
         for l_out in range(-l_max, l_max + 1):

@@ -31,6 +31,8 @@ ENGINE_VARIANTS = ("general", "structureless", *CLOSED_TWINS,
                    *CLOSED_TWINS.values())
 # engines that sum rotational channels with Bessel form factors
 _CHANNEL_ENGINES = ("general", *CLOSED_TWINS)
+# engines that hold only for their closed form's template
+_CLOSED_FORMS = (*CLOSED_TWINS, *CLOSED_TWINS.values())
 
 # beam-norm policy: leave bits alone inside this band ...
 NORM_KEEP = 1e-12
@@ -227,7 +229,7 @@ class Config:
     beam: IncidentBeam
     potential: PotentialSpec
     engine_variant: str
-    scan: Optional[ScanSpec]
+    scan: ScanSpec
     # echo of grating construction when the potential came from one,
     # so closed grating engines can recover (n, d) without guessing
     grating: Optional[tuple] = None  # (half_count, spacing)
@@ -299,14 +301,52 @@ def _build(errors, path, make, *args, **fields):
         return None
 
 
+def _template_errors(variant, beam, potential, grating):
+    """The (path, message) pairs of what the closed ``variant`` does not
+    cover: it needs a pure l = 0 beam, and a grating of Gaussian peaks
+    (the grating variants) or two peaks at +d and -d, d > 0, of one
+    strength and width, Gaussian at -d and at +d polynomial_gaussian for
+    the mixed variants, Gaussian otherwise."""
+    if sorted(beam.amplitudes) != [0]:
+        yield ("beam.amplitudes", "closed engines require a pure l = 0 beam")
+    peaks = potential.peaks
+    a, b = peaks[0].shape, peaks[-1].shape
+    if variant.endswith("grating"):
+        if grating is None:
+            yield ("potential.kind", "closed grating engines need "
+                   "potential.kind = 'grating'")
+        elif a.variant != GAUSSIAN:
+            yield ("potential.grating.shape.variant", "closed grating engines "
+                   "support Gaussian peaks only")
+    elif len(peaks) != 2 or peaks[0].center_x != -peaks[1].center_x \
+            or peaks[0].center_x <= 0:
+        # a grating has 1 or >= 3 peaks: its kind is what is wrong
+        yield ("potential.peaks" if grating is None else "potential.kind",
+               "closed two-peak engines need exactly two peaks at +d and -d "
+               "with d > 0")
+    elif a.strength != b.strength or a.width != b.width:
+        yield ("potential.peaks", "closed two-peak engines need equal strength "
+               "and width on both peaks")
+    else:
+        want = ((POLYNOMIAL_GAUSSIAN if variant.endswith("mixed") else GAUSSIAN),
+                GAUSSIAN)
+        if (a.variant, b.variant) != want:
+            i = 0 if a.variant != want[0] else 1
+            yield (f"potential.peaks[{i}].shape", f"engine {variant} needs peak "
+                   f"shapes {want[0]} at +d and {want[1]} at -d")
+
+
 def validate_config(doc) -> Config:
     """Build validated domain objects from a parsed JSON document.
 
     The domain types check their own fields; this walks the document,
     names each of their errors by its document path, and adds what no
-    single type can know. Every error is collected; one ConfigError
-    reports them all. Beam amplitudes off unit norm by at most 1e-6 are
-    renormalized; beyond that the beam refuses them.
+    single type can know: the required scan block, and for a closed
+    engine its template (once the beam, the potential and the variant
+    are valid). Every error is collected; one ConfigError reports them
+    all. Beam amplitudes off unit norm by at most 1e-6 are renormalized;
+    beyond that the beam refuses them. The rules that depend on the
+    subcommand stay with the CLI.
     """
     if not isinstance(doc, dict):
         raise ConfigError([("", "configuration must be a JSON object")])
@@ -376,8 +416,11 @@ def validate_config(doc) -> Config:
     if variant not in ENGINE_VARIANTS:
         errors.append(("engine.variant", f"must be one of {list(ENGINE_VARIANTS)}"))
 
-    scan = None
-    s = _object(errors, "scan", doc["scan"]) if "scan" in doc else None
+    scan = s = None
+    if "scan" in doc:
+        s = _object(errors, "scan", doc["scan"])
+    else:
+        errors.append(("scan", "this subcommand needs a scan block with a theta grid"))
     if s is not None:
         ks = s.get("k", [])
         if not isinstance(ks, list):
@@ -400,6 +443,9 @@ def validate_config(doc) -> Config:
                 errors.append((path, f"with molecule.alpha = {alpha!r} the channels "
                                f"reach Bessel order {reach:.6g}, beyond the "
                                f"supported cap {ORDER_CAP}"))
+
+    if variant in _CLOSED_FORMS and beam is not None and potential is not None:
+        errors += _template_errors(variant, beam, potential, grating)
 
     if errors:
         raise ConfigError(errors)
@@ -429,9 +475,8 @@ def serialize_config(config: Config) -> dict:
         doc["potential"] = {"kind": "peaks", "peaks": [
             {"center": p.center_x, "shape": shape(p.shape)}
             for p in config.potential.peaks]}
-    if config.scan is not None:
-        doc["scan"] = {"theta": {"min": config.scan.theta_min,
-                                 "max": config.scan.theta_max,
-                                 "steps": config.scan.theta_steps},
-                       "k": list(config.scan.k_values)}
+    doc["scan"] = {"theta": {"min": config.scan.theta_min,
+                             "max": config.scan.theta_max,
+                             "steps": config.scan.theta_steps},
+                   "k": list(config.scan.k_values)}
     return doc

@@ -547,7 +547,9 @@ def _first_max(a: np.ndarray) -> float:
 
 
 def _svg_document(series: Iterable[Tuple[str, Sequence[float], Sequence[float]]],
-                  x_label: str, y_label: str, title: str) -> str:
+                  title: str) -> str:
+    """A plot of sigma against theta for each (name, thetas, sigma) of
+    ``series``."""
     series = [(name, np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
               for name, xs, ys in series]
     x_lo = min(_first_min(xs) for _, xs, _ in series)
@@ -576,10 +578,10 @@ def _svg_document(series: Iterable[Tuple[str, Sequence[float], Sequence[float]]]
         parts.append(f'<text x="{_MARGIN - 6}" y="{y}" text-anchor="end" '
                      f'font-family="sans-serif" font-size="11">{label}</text>')
     parts.append(f'<text x="{_W // 2}" y="{_H - 12}" text-anchor="middle" '
-                 f'font-family="sans-serif" font-size="13">{x_label}</text>')
+                 f'font-family="sans-serif" font-size="13">theta (rad)</text>')
     parts.append(f'<text x="16" y="{_H // 2}" text-anchor="middle" '
                  f'font-family="sans-serif" font-size="13" '
-                 f'transform="rotate(-90 16 {_H // 2})">{y_label}</text>')
+                 f'transform="rotate(-90 16 {_H // 2})">cross section</text>')
     # legend columns of _LEGEND_ROWS entries, the later ones further left
     columns = -(-len(series) // _LEGEND_ROWS)
     step = min(150, (_W - 2 * _MARGIN - 150) // max(columns - 1, 1))
@@ -601,11 +603,11 @@ def _svg_document(series: Iterable[Tuple[str, Sequence[float], Sequence[float]]]
 def profile_svg(profiles: Iterable[Tuple[str, CrossSectionProfile]],
                 title: str) -> str:
     series = [(name, p.thetas, p.sigma) for name, p in profiles]
-    return _svg_document(series, "theta (rad)", "cross section", title)
+    return _svg_document(series, title)
 
 
 def sweep_svg(thetas: Sequence[float], k_values: Sequence[float],
               columns: Sequence[Sequence[float]], title: str) -> str:
     series = [(f"k={fmt_label(k)}", thetas, col)
               for k, col in zip(k_values, columns)]
-    return _svg_document(series, "theta (rad)", "cross section", title)
+    return _svg_document(series, title)

@@ -29,7 +29,7 @@ from rotor_scatter.model import (
     PotentialSpec,
 )
 from rotor_scatter.oracle import matrix_element_quadrature
-from rotor_scatter.kinematics import geometry_grid, open_channels
+from rotor_scatter.kinematics import angle_grid, geometry_grid, open_channels
 from rotor_scatter.potentials import ft_total_grid, make_grating
 
 
@@ -454,7 +454,7 @@ GROUP_GRIDS = {
     "symmetric_odd": np.linspace(-1.3, 1.3, 15),
     "symmetric_even": np.linspace(-1.3, 1.3, 14),
     # negated copies: every mirror pair repeats its |q| exactly
-    "exact_mirror_even": np.concatenate([-np.geomspace(1.4, 0.01, 6),
+    "exact_mirror_even": np.concatenate([-np.geomspace(0.01, 1.4, 6)[::-1],
                                          np.geomspace(0.01, 1.4, 6)]),
     "asymmetric_odd": np.linspace(-0.4, 1.5, 11),
     "asymmetric_even": np.linspace(-1.5, 0.2, 10),
@@ -569,6 +569,12 @@ class TestMirrorCopies:
         assert sorted(full.per_channel or {}) == sorted(per)
         for key, arr in per.items():
             assert np.array_equal(full.per_channel[key].view(np.uint64), arr.view(np.uint64))
+
+    def test_exact_mirror_grid_pairs_every_angle(self):
+        # all 6 pairs are exact, so the front half is the whole unique set
+        grid = angle_grid(GROUP_GRIDS["exact_mirror_even"])
+        assert grid.unique.sin.size == 6
+        assert grid.expand.tolist() == [0, 1, 2, 3, 4, 5, 5, 4, 3, 2, 1, 0]
 
     @pytest.mark.parametrize("grid", ["symmetric_odd", "asymmetric_odd", "asymmetric_even"])
     def test_transform_sees_each_mirror_pair_once(self, grid, monkeypatch):

@@ -249,6 +249,17 @@ class TestProfile:
         assert main(["compare", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("numerical failure: ")
 
+    @pytest.mark.parametrize("subcommand", ["profile", "sweep", "compare"])
+    def test_missing_scan_exits_1(self, tmp_path, capsys, subcommand):
+        doc = two_slit_doc()
+        del doc["scan"]
+        out = tmp_path / "out"
+        assert main([subcommand, "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: scan: this subcommand needs a scan block with a theta grid\n")
+        assert not out.exists()
+
     def test_missing_config_file_exits_1(self, tmp_path, capsys):
         assert main(["profile", "--config", str(tmp_path / "none.json"),
                      "--out", str(tmp_path)]) == 1

@@ -13,7 +13,8 @@ from rotor_scatter.kinematics import (
     open_channels,
     outgoing_wavenumber,
 )
-from rotor_scatter.model import IncidentBeam, Molecule
+from rotor_scatter.born import profile_general
+from rotor_scatter.model import GAUSSIAN, IncidentBeam, Molecule, Peak, PeakShape, PotentialSpec
 
 
 MOL = Molecule(atom_mass=1.0, half_separation=1.0)
@@ -111,7 +112,18 @@ class TestOpenChannels:
         point = Molecule(atom_mass=1.0, half_separation=0.0)
         beam = IncidentBeam(wavenumber=3.0, amplitudes={0: 1.0})
         chans = open_channels(beam, point)
-        assert [(c.l_in, c.l_out) for c in chans] == [(0, 0)]
+        assert chans == [Channel(l_in=0, l_out=0, kappa=3.0, weight=1.0)]
+
+    @pytest.mark.parametrize("amplitudes", [{0: 0.6, 2: 0.8}, {2: 1.0}])
+    def test_point_particle_refuses_rotational_states(self, amplitudes):
+        # an l != 0 state without an arm is an error, not a dropped state
+        point = Molecule(atom_mass=1.0, half_separation=0.0)
+        beam = IncidentBeam(wavenumber=1.0, amplitudes=amplitudes)
+        spec = PotentialSpec(peaks=(Peak(0.0, PeakShape(GAUSSIAN, 1.0, 1.0)),))
+        with pytest.raises(ValueError, match="half_separation must be > 0"):
+            open_channels(beam, point)
+        with pytest.raises(ValueError, match="half_separation must be > 0"):
+            profile_general(np.linspace(-1.0, 1.0, 5), point, beam, spec)
 
     def test_sorted_by_channel_labels(self):
         beam = IncidentBeam(wavenumber=4.5, amplitudes={0: 0.6, 2: 0.8})

@@ -45,6 +45,7 @@ def minimal_doc():
             ],
         },
         "engine": {"variant": "general"},
+        "scan": {"theta": {"min": -1.0, "max": 1.0, "steps": 11}},
     }
 
 
@@ -164,7 +165,8 @@ class TestValidateConfig:
         assert cfg.beam.sorted_states() == [(0, 1.0 + 0j)]
         assert len(cfg.potential.peaks) == 2
         assert cfg.engine_variant == "general"
-        assert cfg.scan is None and cfg.grating is None
+        assert cfg.scan == ScanSpec(theta_min=-1.0, theta_max=1.0, theta_steps=11)
+        assert cfg.grating is None
 
     def test_explicit_amplitudes(self):
         doc = minimal_doc()
@@ -332,6 +334,14 @@ class TestValidateConfig:
         doc["beam"]["amplitudes"] = [{"l": 0, "re": 1.0}]
         assert validate_config(doc).molecule.half_separation == 0.0
 
+    def test_missing_scan_block_rejected(self):
+        doc = minimal_doc()
+        del doc["scan"]
+        with pytest.raises(ConfigError) as exc:
+            validate_config(doc)
+        assert exc.value.errors == [
+            ("scan", "this subcommand needs a scan block with a theta grid")]
+
     def test_non_object_rejected(self):
         with pytest.raises(ConfigError):
             validate_config([1, 2, 3])
@@ -359,6 +369,99 @@ class TestValidateConfig:
         cfg2 = validate_config(serialize_config(cfg))
         assert cfg2.grating == cfg.grating
         assert cfg2.potential == cfg.potential
+
+
+def _closed_doc(variant, peaks=((2.0, GAUSSIAN), (-2.0, GAUSSIAN))):
+    doc = minimal_doc()
+    doc["engine"]["variant"] = variant
+    doc["potential"]["peaks"] = [
+        {"center": c, "shape": {"variant": v, "v0": 1.0, "delta": 1.0}} for c, v in peaks]
+    return doc
+
+
+def _grating(variant):
+    return {"kind": "grating", "grating": {
+        "n": 2, "d": 1.5, "shape": {"variant": variant, "v0": 1.0, "delta": 1.0}}}
+
+
+_TWO_PEAKS = "closed two-peak engines need exactly two peaks at +d and -d with d > 0"
+
+
+class TestClosedTemplates:
+    @pytest.mark.parametrize("variant, peaks", [
+        ("closed_two_gaussian", ((2.0, GAUSSIAN), (-2.0, GAUSSIAN))),
+        ("closed_structureless_two_gaussian", ((2.0, GAUSSIAN), (-2.0, GAUSSIAN))),
+        ("closed_mixed", ((2.0, POLYNOMIAL_GAUSSIAN), (-2.0, GAUSSIAN))),
+        ("closed_structureless_mixed", ((2.0, POLYNOMIAL_GAUSSIAN), (-2.0, GAUSSIAN))),
+    ])
+    def test_two_peak_templates_accepted(self, variant, peaks):
+        assert validate_config(_closed_doc(variant, peaks)).engine_variant == variant
+
+    @pytest.mark.parametrize("variant", ["closed_grating", "closed_structureless_grating"])
+    def test_gaussian_grating_accepted(self, variant):
+        doc = _closed_doc(variant)
+        doc["potential"] = _grating(GAUSSIAN)
+        assert validate_config(doc).grating == (2, 1.5)
+
+    @pytest.mark.parametrize("variant, edit, error", [
+        ("closed_two_gaussian",
+         lambda d: d["beam"].update(amplitudes=[{"l": 2, "re": 1.0}]),
+         ("beam.amplitudes", "closed engines require a pure l = 0 beam")),
+        ("closed_grating", lambda d: None,
+         ("potential.kind", "closed grating engines need potential.kind = 'grating'")),
+        ("closed_structureless_grating",
+         lambda d: d.update(potential=_grating(POLYNOMIAL_GAUSSIAN)),
+         ("potential.grating.shape.variant",
+          "closed grating engines support Gaussian peaks only")),
+        ("closed_two_gaussian", lambda d: d["potential"]["peaks"].pop(),
+         ("potential.peaks", _TWO_PEAKS)),
+        ("closed_mixed", lambda d: d["potential"]["peaks"].reverse(),
+         ("potential.peaks", _TWO_PEAKS)),
+        ("closed_two_gaussian",
+         lambda d: d["potential"]["peaks"][1].update(center=-2.5),
+         ("potential.peaks", _TWO_PEAKS)),
+        ("closed_two_gaussian", lambda d: d.update(potential=_grating(GAUSSIAN)),
+         ("potential.kind", _TWO_PEAKS)),
+        ("closed_structureless_two_gaussian",
+         lambda d: d["potential"]["peaks"][1]["shape"].update(v0=2.0),
+         ("potential.peaks",
+          "closed two-peak engines need equal strength and width on both peaks")),
+        ("closed_mixed", lambda d: d["potential"]["peaks"][0]["shape"].update(delta=2.0),
+         ("potential.peaks",
+          "closed two-peak engines need equal strength and width on both peaks")),
+        ("closed_mixed", lambda d: None,
+         ("potential.peaks[0].shape", "engine closed_mixed needs peak shapes "
+          "polynomial_gaussian at +d and gaussian at -d")),
+        ("closed_two_gaussian",
+         lambda d: d["potential"]["peaks"][1]["shape"].update(variant=POLYNOMIAL_GAUSSIAN),
+         ("potential.peaks[1].shape", "engine closed_two_gaussian needs peak shapes "
+          "gaussian at +d and gaussian at -d")),
+    ])
+    def test_each_misfit_named_by_its_field(self, variant, edit, error):
+        doc = _closed_doc(variant)
+        edit(doc)
+        with pytest.raises(ConfigError) as exc:
+            validate_config(doc)
+        assert exc.value.errors == [error]
+        doc["engine"]["variant"] = "general"
+        validate_config(doc)  # the general engine takes any beam and potential
+
+    def test_misfits_collected_with_the_other_errors(self):
+        doc = _closed_doc("closed_mixed")
+        doc["molecule"]["mass"] = -1.0
+        doc["beam"]["amplitudes"] = [{"l": 0, "re": 0.6}, {"l": 2, "re": 0.8}]
+        del doc["scan"]
+        with pytest.raises(ConfigError) as exc:
+            validate_config(doc)
+        assert [p for p, _ in exc.value.errors] == [
+            "molecule.mass", "scan", "beam.amplitudes", "potential.peaks[0].shape"]
+
+    def test_template_waits_for_a_valid_potential(self):
+        doc = _closed_doc("closed_mixed")
+        doc["potential"]["peaks"][1]["shape"]["delta"] = 0.0
+        with pytest.raises(ConfigError) as exc:
+            validate_config(doc)
+        assert [p for p, _ in exc.value.errors] == ["potential.peaks[1].shape.delta"]
 
 
 class TestCrossSectionProfile:

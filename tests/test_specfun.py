@@ -367,6 +367,14 @@ def test_sum_of_squares_identity():
         assert abs(s - 1.0) <= 1e-10
 
 
+def test_even_order_sum_rule():
+    # J_0(x)^2 + 2 sum_{m>=1} J_2m(x)^2 = (1 + J_0(2x)) / 2
+    for x in np.geomspace(1e-3, 1e3, 61).tolist():
+        row = bessel_j_batch(int(x) + 60, x)
+        s = row[0] ** 2 + 2.0 * math.fsum(v * v for v in row[2::2])
+        assert abs(s - 0.5 * (1.0 + bessel_j(0, 2.0 * x))) <= 1e-14, x
+
+
 def test_underflowing_orders_are_exact_zero():
     # true J_600(1) ~ 1e-1900, far below the subnormal range
     assert bessel_j(600, 1.0) == 0.0
